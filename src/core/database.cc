@@ -108,12 +108,28 @@ Status Database::MaybeAutoCheckpoint() {
   if (options_.checkpoint_interval_updates == 0) {
     return Status::Ok();
   }
-  if (updates_since_checkpoint_.fetch_add(1, std::memory_order_relaxed) + 1 >=
-      options_.checkpoint_interval_updates) {
-    updates_since_checkpoint_.store(0, std::memory_order_relaxed);
-    return checkpointer_->TakeCheckpoint();
+  const uint64_t interval = options_.checkpoint_interval_updates;
+  if (updates_since_checkpoint_.fetch_add(1, std::memory_order_relaxed) + 1 <
+      interval) {
+    return Status::Ok();
   }
-  return Status::Ok();
+  // One caller claims the attempt by taking the count; a caller that finds
+  // it already taken gives back what it took.
+  const uint64_t claimed =
+      updates_since_checkpoint_.exchange(0, std::memory_order_relaxed);
+  if (claimed < interval) {
+    updates_since_checkpoint_.fetch_add(claimed, std::memory_order_relaxed);
+    return Status::Ok();
+  }
+  const Status status = checkpointer_->TakeCheckpoint();
+  if (status.IsBusy()) {
+    // A frame's modifier is mid-call. The update that triggered this has
+    // already taken effect, so it must not fail: stay armed (give the count
+    // back) and retry on the next update.
+    updates_since_checkpoint_.fetch_add(claimed, std::memory_order_relaxed);
+    return Status::Ok();
+  }
+  return status;
 }
 
 Status Database::WritePage(TxnId txn, PageId page,
@@ -222,7 +238,7 @@ Result<CrashRecoveryReport> Database::Recover() {
   CrashRecovery recovery(txn_manager_.get(), parity_.get(), log_.get());
   recovery.AttachObs(obs_.get());
   recovery.SetWorkerPool(recovery_pool_.get());
-  return recovery.Recover();
+  return recovery.Recover(/*latest_start=*/kInvalidLsn);
 }
 
 Result<CrashRecoveryReport> Database::RecoverWithInjectedFault(
@@ -233,7 +249,7 @@ Result<CrashRecoveryReport> Database::RecoverWithInjectedFault(
   recovery.AttachObs(obs_.get());
   recovery.SetWorkerPool(recovery_pool_.get());
   recovery.InjectFaultAfterActions(actions);
-  return recovery.Recover();
+  return recovery.Recover(/*latest_start=*/kInvalidLsn);
 }
 
 Result<CrashRecoveryReport> Database::RestoreFromArchive() {

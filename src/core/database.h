@@ -38,7 +38,9 @@ struct DatabaseOptions {
   TxnConfig txn;
   LogManager::Options log;
   // ACC checkpoint interval, measured in update operations; 0 disables
-  // automatic checkpoints (TOC / FORCE configurations).
+  // automatic checkpoints (TOC / FORCE configurations). An automatic
+  // checkpoint that meets a busy frame does not fail the update that
+  // triggered it: it is retried on the next update.
   uint64_t checkpoint_interval_updates = 0;
   // Engine-wide metrics + trace + latency spans. Disabling all of them
   // makes the hub null and instrumentation collapses to a pointer test

@@ -149,13 +149,18 @@ Status CheckOracle(Database* db, const ShadowModel& shadow) {
       Result<bool> one = db->parity()->VerifyGroupParity(g);
       if (one.ok() && !one.value()) {
         const GroupState state = db->parity()->directory().Get(g);
-        detail += " " + std::to_string(g) +
-                  (state.dirty ? " (dirty, working twin " +
-                                     std::to_string(state.working_twin) +
-                                     ", page " +
-                                     std::to_string(state.dirty_page) + ")"
-                               : " (clean, valid twin " +
-                                     std::to_string(state.valid_twin) + ")");
+        detail += ' ';
+        detail += std::to_string(g);
+        if (state.dirty) {
+          detail += " (dirty, working twin ";
+          detail += std::to_string(state.working_twin);
+          detail += ", page ";
+          detail += std::to_string(state.dirty_page);
+        } else {
+          detail += " (clean, valid twin ";
+          detail += std::to_string(state.valid_twin);
+        }
+        detail += ')';
       }
     }
     return Violation("parity", detail);

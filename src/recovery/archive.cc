@@ -85,12 +85,14 @@ Result<CrashRecoveryReport> ArchiveManager::RestoreFromArchive() {
     RDA_RETURN_IF_ERROR(parity_->ReinitializeParityFromData(pool_));
   }
 
-  // Roll forward the work committed since the archive; restart recovery's
-  // pageLSN checks make replaying from the (truncated) log start safe.
+  // Roll forward the work committed since the archive: replay from the
+  // archive point, not from the newest restart LSN, which may postdate the
+  // snapshot. Restart recovery's pageLSN checks make that replay safe.
   CrashRecovery recovery(txn_manager_, parity_, log_);
   recovery.AttachObs(hub_);
   recovery.SetWorkerPool(pool_);
-  RDA_ASSIGN_OR_RETURN(CrashRecoveryReport report, recovery.Recover());
+  RDA_ASSIGN_OR_RETURN(CrashRecoveryReport report,
+                       recovery.Recover(archive_lsn_));
   report.phases.insert(report.phases.begin(), restore_phases.begin(),
                        restore_phases.end());
   return report;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <deque>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -129,7 +130,7 @@ uint64_t CrashRecovery::TransfersNow() const {
   return parity_->array()->counters().total() + log_->counters().total();
 }
 
-Result<CrashRecoveryReport> CrashRecovery::Recover() {
+Result<CrashRecoveryReport> CrashRecovery::Recover(Lsn latest_start) {
   CrashRecoveryReport report;
   const auto transfers_now = [this] { return TransfersNow(); };
 
@@ -140,14 +141,18 @@ Result<CrashRecoveryReport> CrashRecovery::Recover() {
     RDA_RETURN_IF_ERROR(parity_->RebuildDirectory());
   }
 
-  // Phase 2: analysis — one forward scan that classifies transactions AND
+  // Phase 2: analysis — read the log from the newest restart LSN R to the
+  // tail, then one forward pass that classifies transactions AND
   // pre-buckets the after-images for the sharded REDO of phase 5. Shard =
   // page id mod shard count, so every image of one page lands on one shard
-  // and (the scan being forward) stays in LSN order within it. One shard
-  // reproduces the serial replay exactly.
+  // and (the pass being forward) stays in LSN order within it. One shard
+  // reproduces the serial replay exactly. Nothing before R is needed: every
+  // transaction that logged there had finished by R's record, and its
+  // pages were on disk (DESIGN.md 4.3.1).
   const uint32_t redo_shard_count =
       pool_ != nullptr ? std::max<uint32_t>(pool_->width(), 1) : 1;
-  std::vector<LogRecord> records;
+  LogManager::RestartRead read;
+  std::deque<LogRecord>& records = read.records;
   std::vector<std::vector<uint32_t>> redo_shards(redo_shard_count);
   std::unordered_set<TxnId> winners;
   std::unordered_set<TxnId> losers;
@@ -158,7 +163,9 @@ Result<CrashRecoveryReport> CrashRecovery::Recover() {
   {
     obs::ScopedPhase phase(hub_, obs::RecoveryPhase::kAnalysis, transfers_now,
                            &report.phases);
-    RDA_RETURN_IF_ERROR(log_->Scan(0, &records));
+    RDA_RETURN_IF_ERROR(log_->ReadForRestart(latest_start, &read));
+    report.scan_start_lsn = read.scan_start;
+    report.log_records_scanned = records.size();
     std::unordered_set<TxnId> seen;
     std::unordered_set<TxnId> finished;  // Committed or abort-complete.
     // Pre-size the transaction sets from the latest checkpoint's active-txn
@@ -418,7 +425,9 @@ Result<CrashRecoveryReport> CrashRecovery::Recover() {
     RDA_RETURN_IF_ERROR(log_->Flush());
   }
 
-  txn_manager_->BumpNextTxnId(max_txn + 1);
+  // Ids of transactions that finished before R appear in no record read;
+  // the restart point's next_txn covers them.
+  txn_manager_->BumpNextTxnId(std::max(max_txn + 1, read.next_txn));
   return report;
 }
 

@@ -27,6 +27,11 @@ struct CrashRecoveryReport {
   uint64_t redo_applied = 0;       // Committed after-images re-applied.
   uint64_t redo_skipped = 0;       // Skipped by the pageLSN check.
   uint64_t chain_pages_walked = 0; // TWIST chain links traversed (audit).
+  // The log window analysed: the first LSN read (the newest restart LSN,
+  // see LogManager::ReadForRestart) and the number of records from there
+  // to the stable tail.
+  Lsn scan_start_lsn = 0;
+  uint64_t log_records_scanned = 0;
   // Per-phase cost breakdown (page transfers + wall clock), in execution
   // order. Always filled, whether or not observability is attached.
   std::vector<obs::PhaseCost> phases;
@@ -37,7 +42,8 @@ struct CrashRecoveryReport {
 //
 //  1. Rebuild the parity directory from the twin page headers
 //     (Current_Parity, Figure 7; the S/N term of c'_s).
-//  2. Analysis: scan the log; BOT without Commit/AbortComplete = loser.
+//  2. Analysis: read the log from the newest restart LSN R (DESIGN.md
+//     4.3.1) to the tail; BOT without Commit/AbortComplete = loser.
 //  3. Roll FORWARD: finalize dirty groups owned by winners (crash fell
 //     between the commit record and twin finalization).
 //  4. UNDO losers: parity-undo each dirty group owned by a loser (walking
@@ -58,7 +64,11 @@ class CrashRecovery {
   CrashRecovery(const CrashRecovery&) = delete;
   CrashRecovery& operator=(const CrashRecovery&) = delete;
 
-  Result<CrashRecoveryReport> Recover();
+  // Runs recovery over the log from max(base_lsn(), min(R, latest_start))
+  // to the stable tail, R being the newest restart LSN in the stable log.
+  // Restart passes kInvalidLsn; an archive restore passes its archive
+  // point, because the work committed since its snapshot may predate R.
+  Result<CrashRecoveryReport> Recover(Lsn latest_start);
 
   // Hooks recovery into the observability hub (`recovery.phase.*` counters
   // and kPhaseBegin/kPhaseEnd trace events). Null detaches.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -24,7 +25,10 @@ Result<MediaRecoveryReport> MediaRecovery::RebuildDisk(DiskId disk) {
 
   MediaRecoveryReport report;
   report.disk = disk;
-  obs::ScopedPhase phase(
+  // The phase appends its cost to report.phases when it ends, so it is
+  // ended explicitly before the report is returned (copied out).
+  std::optional<obs::ScopedPhase> phase;
+  phase.emplace(
       hub_, obs::RecoveryPhase::kMediaRebuild,
       [array] { return array->counters().total(); }, &report.phases);
   // Flag the disk as rebuilding across the replace->reconstruct window: the
@@ -98,6 +102,7 @@ Result<MediaRecoveryReport> MediaRecovery::RebuildDisk(DiskId disk) {
   // not sitting in the async engine's journal.
   RDA_RETURN_IF_ERROR(array->FlushIo());
   array->SetRebuilding(disk, false);
+  phase.reset();
   return report;
 }
 
@@ -121,7 +126,9 @@ Result<MediaRecoveryReport> MediaRecovery::RebuildDiskOnline(
     report.undo_coverage_lost = std::move(info.undo_coverage_lost);
   }
 
-  obs::ScopedPhase phase(
+  // Ended explicitly before each return, as in RebuildDisk.
+  std::optional<obs::ScopedPhase> phase;
+  phase.emplace(
       hub_, obs::RecoveryPhase::kMediaRebuild,
       [array] { return array->counters().total(); }, &report.phases);
   obs::TraceBuffer* trace = obs::TraceOf(hub_);
@@ -199,10 +206,12 @@ Result<MediaRecoveryReport> MediaRecovery::RebuildDiskOnline(
   report.write_promotions = parity_->OnlineWritePromotions();
   if (cancelled || parity_->OnlineRebuildGroupsRemaining() != 0) {
     report.completed = false;  // Session stays active for a later resume.
+    phase.reset();
     return report;
   }
   RDA_RETURN_IF_ERROR(array->FlushIo());  // Rebuilt pages must be on medium.
   RDA_RETURN_IF_ERROR(parity_->EndOnlineRebuild());
+  phase.reset();
   return report;
 }
 

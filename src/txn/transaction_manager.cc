@@ -136,22 +136,46 @@ std::vector<TxnId> TransactionManager::ActiveTxns() const {
   return out;
 }
 
+Status TransactionManager::RequireActive(TxnId id, Transaction* txn) const {
+  if (txn == nullptr) {
+    // Finished transactions leave the table at EOT; an id below the
+    // counter was handed out, so it names a finished one.
+    std::lock_guard<std::mutex> lock(txns_mu_);
+    if (id == kInvalidTxnId || id >= next_txn_) {
+      return Status::NotFound("unknown transaction");
+    }
+  }
+  if (txn == nullptr || txn->state != TxnState::kActive) {
+    return Status::FailedPrecondition("transaction not active");
+  }
+  return Status::Ok();
+}
+
+void TransactionManager::Retire(Transaction* txn) {
+  const TxnId id = txn->id();
+  if (txn->bot_logged) {
+    log_->CloseTxn(id, txn->bot_lsn);
+  }
+  std::lock_guard<std::mutex> lock(txns_mu_);
+  txns_.erase(id);
+}
+
+size_t TransactionManager::tracked_txns() const {
+  std::lock_guard<std::mutex> lock(txns_mu_);
+  return txns_.size();
+}
+
+TxnId TransactionManager::next_txn_id() const {
+  std::lock_guard<std::mutex> lock(txns_mu_);
+  return next_txn_;
+}
+
 void TransactionManager::BumpNextTxnId(TxnId floor) {
   std::lock_guard<std::mutex> lock(txns_mu_);
   next_txn_ = std::max(next_txn_, floor);
 }
 
 namespace {
-
-Status RequireActive(Transaction* txn) {
-  if (txn == nullptr) {
-    return Status::NotFound("unknown transaction");
-  }
-  if (txn->state != TxnState::kActive) {
-    return Status::FailedPrecondition("transaction not active");
-  }
-  return Status::Ok();
-}
 
 // Thread-local EOT markers: which transaction (of which manager) this
 // thread is currently committing or aborting. PropagateFrame consults them
@@ -204,7 +228,7 @@ Status TransactionManager::EnsureBot(Transaction* txn) {
 Status TransactionManager::ReadPage(TxnId txn_id, PageId page,
                                     std::vector<uint8_t>* out) {
   Transaction* txn = Find(txn_id);
-  RDA_RETURN_IF_ERROR(RequireActive(txn));
+  RDA_RETURN_IF_ERROR(RequireActive(txn_id, txn));
   if (config_.logging_mode != LoggingMode::kPageLogging) {
     return Status::FailedPrecondition("page API requires page logging mode");
   }
@@ -226,7 +250,7 @@ Status TransactionManager::ReadPage(TxnId txn_id, PageId page,
 Status TransactionManager::WritePage(TxnId txn_id, PageId page,
                                      const std::vector<uint8_t>& bytes) {
   Transaction* txn = Find(txn_id);
-  RDA_RETURN_IF_ERROR(RequireActive(txn));
+  RDA_RETURN_IF_ERROR(RequireActive(txn_id, txn));
   if (config_.logging_mode != LoggingMode::kPageLogging) {
     return Status::FailedPrecondition("page API requires page logging mode");
   }
@@ -271,7 +295,7 @@ Status TransactionManager::ReadRecord(TxnId txn_id, PageId page,
                                       RecordSlot slot,
                                       std::vector<uint8_t>* out) {
   Transaction* txn = Find(txn_id);
-  RDA_RETURN_IF_ERROR(RequireActive(txn));
+  RDA_RETURN_IF_ERROR(RequireActive(txn_id, txn));
   if (config_.logging_mode != LoggingMode::kRecordLogging) {
     return Status::FailedPrecondition(
         "record API requires record logging mode");
@@ -294,7 +318,7 @@ Status TransactionManager::WriteRecord(TxnId txn_id, PageId page,
                                        RecordSlot slot,
                                        const std::vector<uint8_t>& bytes) {
   Transaction* txn = Find(txn_id);
-  RDA_RETURN_IF_ERROR(RequireActive(txn));
+  RDA_RETURN_IF_ERROR(RequireActive(txn_id, txn));
   if (config_.logging_mode != LoggingMode::kRecordLogging) {
     return Status::FailedPrecondition(
         "record API requires record logging mode");
@@ -628,10 +652,19 @@ Status TransactionManager::LogAfterImages(Transaction* txn) {
 
 Status TransactionManager::Commit(TxnId txn_id) {
   Transaction* txn = Find(txn_id);
-  RDA_RETURN_IF_ERROR(RequireActive(txn));
-  // From here to return, this thread has exclusive use of `txn` without
-  // holding its mutex: evictions answer kBusy to the in_eot flag.
-  EotScope eot(this, txn);
+  RDA_RETURN_IF_ERROR(RequireActive(txn_id, txn));
+  {
+    // Inside this block, this thread has exclusive use of `txn` without
+    // holding its mutex: evictions answer kBusy to the in_eot flag.
+    EotScope eot(this, txn);
+    RDA_RETURN_IF_ERROR(CommitInEot(txn));
+  }
+  Retire(txn);
+  return Status::Ok();
+}
+
+Status TransactionManager::CommitInEot(Transaction* txn) {
+  const TxnId txn_id = txn->id();
   obs::ScopedSpan commit_span(spans_, obs::SpanKind::kTxnCommit,
                               commit_us_hist_, static_cast<int64_t>(txn_id));
   const uint64_t transfers_start = TransfersStart();
@@ -677,8 +710,17 @@ Status TransactionManager::Commit(TxnId txn_id) {
     LogRecord commit;
     commit.type = LogRecordType::kCommit;
     commit.txn = txn_id;
-    RDA_ASSIGN_OR_RETURN(const Lsn commit_lsn,
-                         log_->Append(std::move(commit)));
+    Lsn commit_lsn = kInvalidLsn;
+    if (config_.force) {
+      // TOC: every page this transaction changed is on disk, so its commit
+      // is a checkpoint — a restart point bounded by the transactions
+      // still open.
+      commit.next_txn = next_txn_id();
+      RDA_ASSIGN_OR_RETURN(commit_lsn, log_->AppendRestartPoint(
+                                           std::move(commit), kInvalidLsn));
+    } else {
+      RDA_ASSIGN_OR_RETURN(commit_lsn, log_->Append(std::move(commit)));
+    }
     // Group commit: ride a batch flush with concurrent committers instead
     // of forcing the log alone.
     RDA_RETURN_IF_ERROR(log_->CommitFlush(commit_lsn));
@@ -935,8 +977,17 @@ void TransactionManager::CleanBufferAfterAbort(
 
 Status TransactionManager::Abort(TxnId txn_id) {
   Transaction* txn = Find(txn_id);
-  RDA_RETURN_IF_ERROR(RequireActive(txn));
-  EotScope eot(this, txn);
+  RDA_RETURN_IF_ERROR(RequireActive(txn_id, txn));
+  {
+    EotScope eot(this, txn);
+    RDA_RETURN_IF_ERROR(AbortInEot(txn));
+  }
+  Retire(txn);
+  return Status::Ok();
+}
+
+Status TransactionManager::AbortInEot(Transaction* txn) {
+  const TxnId txn_id = txn->id();
   obs::ScopedSpan abort_span(spans_, obs::SpanKind::kTxnAbort,
                              abort_us_hist_, static_cast<int64_t>(txn_id));
   const uint64_t transfers_start = TransfersStart();
@@ -1108,6 +1159,8 @@ void TransactionManager::LoseVolatileState() {
   locks_->Clear();
   std::lock_guard<std::mutex> lock(txns_mu_);
   txns_.clear();
+  // The id counter is volatile too: recovery restores it from the log.
+  next_txn_ = 1;
 }
 
 }  // namespace rda

@@ -135,8 +135,11 @@ class TransactionManager {
   // Drops all volatile state: buffer, lock table, active-transaction table.
   void LoseVolatileState();
 
+  // The table holds only transactions that have not finished: Commit and
+  // Abort erase theirs once EOT has detached it from every frame.
   Transaction* Find(TxnId txn);
   std::vector<TxnId> ActiveTxns() const;
+  size_t tracked_txns() const;
 
   BufferPool* pool() { return &pool_; }
   TwinParityManager* parity() { return parity_; }
@@ -148,6 +151,8 @@ class TransactionManager {
   size_t user_page_size() const;
   uint32_t records_per_page() const;
 
+  // The id the next Begin() returns. Restart points record it.
+  TxnId next_txn_id() const;
   // Restores the transaction-id counter after recovery so new transactions
   // never reuse the id of a pre-crash one.
   void BumpNextTxnId(TxnId floor);
@@ -165,6 +170,20 @@ class TransactionManager {
   // modifier's mutex — a busy or mid-EOT modifier makes it return kBusy so
   // the eviction walk can pick another victim.
   Status PropagateFrame(Frame* frame);
+
+  // OK iff `txn` (looked up as `id`) is active. A finished id is
+  // FailedPrecondition, an id never handed out NotFound.
+  Status RequireActive(TxnId id, Transaction* txn) const;
+
+  // Commit/Abort bodies, run inside the EOT scope.
+  Status CommitInEot(Transaction* txn);
+  Status AbortInEot(Transaction* txn);
+
+  // After a finished EOT: releases the transaction's restart-point claim
+  // in the log and erases it from the table. Safe once EOT has detached it
+  // from every frame — PropagateFrame only reaches transactions through
+  // frame modifier lists, under the frame's shard latch.
+  void Retire(Transaction* txn);
 
   // True iff parity undo of `frame`'s current propagation epoch would land
   // exactly on the logical before-state of `txn` (no committed-but-

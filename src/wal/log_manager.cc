@@ -18,18 +18,20 @@ constexpr size_t kFrameHeaderSize = 8;
 LogManager::LogManager(const Options& options)
     : options_(options), stable_(options.copies) {}
 
-Result<Lsn> LogManager::Append(LogRecord record) {
-  std::lock_guard<std::mutex> lock(mu_);
+Lsn LogManager::AppendLocked(LogRecord* record) {
   const Lsn lsn = next_lsn_.load(std::memory_order_relaxed);
-  record.lsn = lsn;
-  if (record.type == LogRecordType::kCommit) {
+  record->lsn = lsn;
+  if (record->type == LogRecordType::kCommit) {
     ++buffered_commits_;
+  } else if (record->type == LogRecordType::kBot) {
+    open_txns_.emplace(lsn, record->txn);
+    bot_txn_ceiling_ = std::max(bot_txn_ceiling_, record->txn + 1);
   }
   // Encode straight into the append buffer (no per-record payload vector),
   // then backfill the frame header once the length is known.
   const size_t offset = buffer_.size();
   buffer_.resize(offset + kFrameHeaderSize);
-  EncodeLogRecordTo(record, &buffer_);
+  EncodeLogRecordTo(*record, &buffer_);
   const uint32_t length =
       static_cast<uint32_t>(buffer_.size() - offset - kFrameHeaderSize);
   const uint32_t crc =
@@ -41,6 +43,30 @@ Result<Lsn> LogManager::Append(LogRecord record) {
   obs::Inc(records_counter_);
   obs::Inc(bytes_counter_, kFrameHeaderSize + length);
   return lsn;
+}
+
+Result<Lsn> LogManager::Append(LogRecord record) {
+  std::lock_guard<std::mutex> lock(mu_);
+  return AppendLocked(&record);
+}
+
+Result<Lsn> LogManager::AppendRestartPoint(LogRecord record, Lsn bound) {
+  std::lock_guard<std::mutex> lock(mu_);
+  Lsn restart = std::min(bound, next_lsn_.load(std::memory_order_relaxed));
+  for (const auto& [bot_lsn, txn] : open_txns_) {
+    if (txn != record.txn) {
+      restart = std::min(restart, bot_lsn);
+      break;  // Ordered by LSN: the first other transaction is the oldest.
+    }
+  }
+  record.restart_lsn = restart;
+  record.next_txn = std::max(record.next_txn, bot_txn_ceiling_);
+  return AppendLocked(&record);
+}
+
+void LogManager::CloseTxn(TxnId txn, Lsn bot_lsn) {
+  std::lock_guard<std::mutex> lock(mu_);
+  open_txns_.erase({bot_lsn, txn});
 }
 
 Status LogManager::FlushLocked() {
@@ -172,59 +198,90 @@ Status LogManager::CommitFlush(Lsn lsn) {
   return status;
 }
 
+Status LogManager::DecodeStableLocked(size_t index, LogRecord* out) const {
+  const Lsn pos = stable_index_[index];
+  const Lsn next = index + 1 == stable_index_.size()
+                       ? flushed_bytes_.load(std::memory_order_relaxed)
+                       : stable_index_[index + 1];
+  const size_t offset = pos - base_lsn_;
+  const uint32_t frame_length =
+      static_cast<uint32_t>(next - pos - kFrameHeaderSize);
+  for (uint32_t copy = 0; copy < options_.copies; ++copy) {
+    const std::vector<uint8_t>& data = stable_[copy];
+    uint32_t stored_length = 0;
+    std::memcpy(&stored_length, data.data() + offset, sizeof(stored_length));
+    if (stored_length != frame_length) {
+      continue;  // Frame header damaged on this copy; the index knows
+                 // the true framing.
+    }
+    uint32_t stored_crc = 0;
+    std::memcpy(&stored_crc, data.data() + offset + 4, sizeof(stored_crc));
+    const uint8_t* payload = data.data() + offset + kFrameHeaderSize;
+    if (Crc32c(payload, frame_length) != stored_crc) {
+      continue;  // Corrupted on this copy; try the next one.
+    }
+    Result<LogRecord> result = DecodeLogRecord(payload, frame_length);
+    if (!result.ok()) {
+      continue;
+    }
+    *out = std::move(result).value();
+    // LSNs are positional, not serialized: stamp from the frame offset.
+    out->lsn = pos;
+    return Status::Ok();
+  }
+  return Status::Corruption("log record at " + std::to_string(pos) +
+                            " unreadable on all copies");
+}
+
+void LogManager::ChargeReadLocked(Lsn from) const {
+  // A sequential read of the stable log from `from` to the tail, charged
+  // once (a recovery scan reads one copy unless it hits corruption; close
+  // enough for the simulator's accounting). Skipping a prefix means not
+  // paying for it.
+  const uint64_t flushed = flushed_bytes_.load(std::memory_order_relaxed);
+  counters_.page_reads +=
+      (flushed - from + options_.page_size - 1) / options_.page_size;
+}
+
 Status LogManager::Scan(Lsn from, std::vector<LogRecord>* out) const {
   std::lock_guard<std::mutex> lock(mu_);
   out->clear();
-  const uint64_t flushed = flushed_bytes_.load(std::memory_order_relaxed);
   // Seek: the boundary index hands us the first record with lsn >= from
   // directly — the skipped prefix is neither read nor re-deserialized.
-  const auto begin = std::lower_bound(stable_index_.begin(),
-                                      stable_index_.end(), from);
-  const Lsn start_pos = begin == stable_index_.end() ? flushed : *begin;
-  out->reserve(stable_index_.end() - begin);
-  for (auto it = begin; it != stable_index_.end(); ++it) {
-    const Lsn pos = *it;
-    const Lsn next = (it + 1) == stable_index_.end() ? flushed : *(it + 1);
-    const size_t offset = pos - base_lsn_;
-    const uint32_t frame_length =
-        static_cast<uint32_t>(next - pos - kFrameHeaderSize);
-    LogRecord record;
-    bool decoded = false;
-    for (uint32_t copy = 0; copy < options_.copies && !decoded; ++copy) {
-      const std::vector<uint8_t>& data = stable_[copy];
-      uint32_t stored_length = 0;
-      std::memcpy(&stored_length, data.data() + offset,
-                  sizeof(stored_length));
-      if (stored_length != frame_length) {
-        continue;  // Frame header damaged on this copy; the index knows
-                   // the true framing.
-      }
-      uint32_t stored_crc = 0;
-      std::memcpy(&stored_crc, data.data() + offset + 4, sizeof(stored_crc));
-      const uint8_t* payload = data.data() + offset + kFrameHeaderSize;
-      if (Crc32c(payload, frame_length) != stored_crc) {
-        continue;  // Corrupted on this copy; try the next one.
-      }
-      Result<LogRecord> result = DecodeLogRecord(payload, frame_length);
-      if (!result.ok()) {
-        continue;
-      }
-      record = std::move(result).value();
-      decoded = true;
-    }
-    if (!decoded) {
-      return Status::Corruption("log record at " + std::to_string(pos) +
-                                " unreadable on all copies");
-    }
-    // LSNs are positional, not serialized: stamp from the frame offset.
-    record.lsn = pos;
-    out->push_back(std::move(record));
+  const size_t begin = std::lower_bound(stable_index_.begin(),
+                                        stable_index_.end(), from) -
+                       stable_index_.begin();
+  out->resize(stable_index_.size() - begin);
+  for (size_t i = begin; i < stable_index_.size(); ++i) {
+    RDA_RETURN_IF_ERROR(DecodeStableLocked(i, &(*out)[i - begin]));
   }
-  // Account the sequential read of the scanned portion, once (a recovery
-  // scan reads one copy unless it hits corruption; close enough for the
-  // simulator's accounting). Seeking past a prefix means not paying for it.
-  counters_.page_reads +=
-      (flushed - start_pos + options_.page_size - 1) / options_.page_size;
+  ChargeReadLocked(begin == stable_index_.size()
+                       ? flushed_bytes_.load(std::memory_order_relaxed)
+                       : stable_index_[begin]);
+  return Status::Ok();
+}
+
+Status LogManager::ReadForRestart(Lsn latest_start, RestartRead* out) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  *out = RestartRead();
+  // Until a restart point turns up, every stable record is needed.
+  Lsn start = base_lsn_;
+  Lsn first_read = flushed_bytes_.load(std::memory_order_relaxed);
+  for (size_t i = stable_index_.size(); i-- > 0 && stable_index_[i] >= start;) {
+    // Decoded in place at the front: the records end up in LSN order with
+    // no reversal and no reallocation.
+    LogRecord& record = out->records.emplace_front();
+    RDA_RETURN_IF_ERROR(DecodeStableLocked(i, &record));
+    if (out->restart_lsn == kInvalidLsn &&
+        record.restart_lsn != kInvalidLsn) {
+      out->restart_lsn = record.restart_lsn;
+      out->next_txn = record.next_txn;
+      start = std::max(base_lsn_, std::min(record.restart_lsn, latest_start));
+    }
+    first_read = record.lsn;
+  }
+  out->scan_start = first_read;
+  ChargeReadLocked(first_read);
   return Status::Ok();
 }
 
@@ -284,6 +341,8 @@ void LogManager::LoseVolatileState() {
   buffer_.clear();
   pending_index_.clear();
   buffered_commits_ = 0;
+  open_txns_.clear();
+  bot_txn_ceiling_ = kInvalidTxnId;
   // Everything published survived the crash; the latency watermark is a
   // runtime accounting artifact, so it catches up to the stable tail.
   commit_durable_bytes_ = flushed_bytes_.load(std::memory_order_relaxed);

@@ -4,8 +4,10 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <mutex>
+#include <set>
 #include <utility>
 #include <vector>
 
@@ -66,8 +68,25 @@ class LogManager {
   LogManager(const LogManager&) = delete;
   LogManager& operator=(const LogManager&) = delete;
 
-  // Buffers `record`, assigns and returns its LSN.
+  // Buffers `record`, assigns and returns its LSN. A kBot record opens its
+  // transaction for restart-point purposes until CloseTxn.
   Result<Lsn> Append(LogRecord record);
+
+  // Buffers `record` as a restart point and returns its LSN. In the same
+  // step as the LSN is assigned, sets record.restart_lsn to
+  //   R = min(`bound`, the record's own LSN,
+  //           the BOT LSN of every open transaction but record.txn)
+  // and raises record.next_txn above every id that logged a BOT since the
+  // last crash. A BOT appended concurrently therefore lands either before
+  // the record (and holds R down) or after it (and is replayed). An ACC
+  // checkpoint passes next_lsn() from before its propagation as `bound`; a
+  // FORCE commit passes kInvalidLsn (its own pages are already on disk).
+  Result<Lsn> AppendRestartPoint(LogRecord record, Lsn bound);
+
+  // Ends the restart-point claim of the transaction whose BOT is at
+  // `bot_lsn`: call once its EOT is complete (committed and twins
+  // finalized, or abort complete), never earlier.
+  void CloseTxn(TxnId txn, Lsn bot_lsn);
 
   // Forces all buffered records to every stable copy, immediately — it
   // neither pays flush_delay_us nor waits for a leader sleeping one out
@@ -94,6 +113,28 @@ class LogManager {
   // record's frame is CRC-checked against copy 0 and falls back to the next
   // copy on corruption (the duplexing pay-off).
   Status Scan(Lsn from, std::vector<LogRecord>* out) const;
+
+  // What restart recovery reads from the stable log (ReadForRestart).
+  struct RestartRead {
+    // R and next_txn of the newest stable restart point; kInvalidLsn and
+    // kInvalidTxnId when the stable log holds none.
+    Lsn restart_lsn = kInvalidLsn;
+    TxnId next_txn = kInvalidTxnId;
+    // First LSN read, and every stable record from there to the tail, in
+    // LSN order.
+    Lsn scan_start = 0;
+    std::deque<LogRecord> records;
+  };
+
+  // Restart read. Walks the stable log backward from the tail, decoding
+  // each frame once (located through the boundary index, CRC-checked and
+  // duplex-healed like Scan), to the newest restart point, and on down to
+  //   scan_start = max(base_lsn(), min(R, latest_start)),
+  // or to base_lsn() when no restart point is stable. Restart passes
+  // kInvalidLsn as `latest_start`; an archive restore passes its archive
+  // point, since the snapshot predates R. The read is charged like Scan:
+  // each log page from scan_start to the tail once.
+  Status ReadForRestart(Lsn latest_start, RestartRead* out) const;
 
   // Drops the unflushed buffer (system crash).
   void LoseVolatileState();
@@ -160,6 +201,16 @@ class LogManager {
   // the caller's business (CommitFlush sleeps AFTER publishing).
   Status FlushLocked();
 
+  // Assigns the next LSN to `record` and encodes it into the buffer.
+  Lsn AppendLocked(LogRecord* record);
+
+  // Decodes the stable frame at stable_index_[index] into `out`, trying
+  // each copy in turn. Caller holds mu_.
+  Status DecodeStableLocked(size_t index, LogRecord* out) const;
+
+  // Charges a sequential read of the stable log from `from` to the tail.
+  void ChargeReadLocked(Lsn from) const;
+
   Options options_;
   // Serializes all log state. Leaf-ward lock: nothing above the WAL is
   // acquired while held (see DESIGN.md section 11 for the latch order).
@@ -194,6 +245,16 @@ class LogManager {
   // LSNs of records sitting in the volatile buffer; moved to stable_index_
   // by Flush, dropped by LoseVolatileState.
   std::vector<Lsn> pending_index_;
+  // (BOT LSN, txn) of every transaction that logged a BOT and has not
+  // reached CloseTxn: the restart-point floor, ordered so its minimum is
+  // the first element. Volatile: a crash clears it (recovery resolves
+  // every transaction in it).
+  std::set<std::pair<Lsn, TxnId>> open_txns_;
+  // One above the largest transaction id that logged a BOT since the last
+  // crash. Restart points carry at least this as next_txn: it covers a
+  // transaction that began after the caller read the id counter, then
+  // logged its BOT and finished before the restart point was appended.
+  TxnId bot_txn_ceiling_ = kInvalidTxnId;
   // Scan() is logically const but accounts its reads.
   mutable IoCounters counters_;
 

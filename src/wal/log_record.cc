@@ -93,6 +93,10 @@ void EncodeLogRecordTo(const LogRecord& record, std::vector<uint8_t>* out) {
     PutFixed(out, txn);
   }
   PutFixed(out, record.chain_head);
+  if (record.restart_lsn != kInvalidLsn) {
+    PutFixed(out, record.restart_lsn);
+    PutFixed(out, record.next_txn);
+  }
 }
 
 Result<LogRecord> DecodeLogRecord(const uint8_t* data, size_t size) {
@@ -121,7 +125,15 @@ Result<LogRecord> DecodeLogRecord(const uint8_t* data, size_t size) {
       return Status::Corruption("truncated active transaction list");
     }
   }
-  if (!reader.Get(&record.chain_head) || !reader.Done()) {
+  if (!reader.Get(&record.chain_head)) {
+    return Status::Corruption("malformed log record tail");
+  }
+  if (!reader.Done() &&
+      (!reader.Get(&record.restart_lsn) || !reader.Get(&record.next_txn) ||
+       record.restart_lsn == kInvalidLsn)) {
+    return Status::Corruption("malformed restart point");
+  }
+  if (!reader.Done()) {
     return Status::Corruption("malformed log record tail");
   }
   return record;

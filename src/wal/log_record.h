@@ -33,7 +33,8 @@ enum class LogRecordType : uint8_t {
   // chain continues through the data pages' embedded chain_prev links.
   kChainHead = 6,
   // Action-consistent checkpoint: all modified buffer pages have been
-  // propagated; lists the transactions active at the checkpoint.
+  // propagated; lists the transactions active at the checkpoint. Always a
+  // restart point (see LogRecord::restart_lsn).
   kCheckpoint = 7,
 };
 
@@ -54,6 +55,16 @@ struct LogRecord {
   std::vector<uint8_t> after;
   std::vector<TxnId> active_txns;  // kCheckpoint.
   PageId chain_head = kInvalidPageId;  // kChainHead.
+  // Restart point (every kCheckpoint, and every kCommit under FORCE, which
+  // is a TOC checkpoint): restart recovery reads the log from the newest
+  // such record's restart_lsn on. Everything logged before it belongs to
+  // finished transactions whose pages are on disk. kInvalidLsn = not a
+  // restart point; only restart points serialize these two fields.
+  Lsn restart_lsn = kInvalidLsn;
+  // Of a restart point: above every transaction id that had logged a BOT
+  // when the record was written, so restart never hands out such an id
+  // again, even one whose records all precede restart_lsn.
+  TxnId next_txn = kInvalidTxnId;
 
   bool operator==(const LogRecord&) const = default;
 };

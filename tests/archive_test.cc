@@ -56,6 +56,39 @@ TEST_F(ArchiveTest, RequiresQuiescence) {
   EXPECT_TRUE(db_->HasArchive());
 }
 
+// The restore replays from the archive point even when a newer restart
+// point exists: the commits between the archive and that point are in no
+// snapshot and would otherwise be lost.
+TEST_F(ArchiveTest, RestoreReplaysCommitsBeforeTheNewestRestartPoint) {
+  for (const bool force : {false, true}) {
+    SCOPED_TRACE(force ? "FORCE" : "notFORCE");
+    DatabaseOptions options = BaseOptions();
+    options.txn.force = force;
+    Open(options);
+    ASSERT_TRUE(WriteTxn(0, 0x11).ok());
+    ASSERT_TRUE(db_->TakeArchive(/*truncate_log=*/false).ok());
+    const Lsn archive_point = db_->log()->flushed_lsn();
+    ASSERT_TRUE(WriteTxn(1, 0x22).ok());
+    ASSERT_TRUE(WriteTxn(0, 0x33).ok());
+    if (!force) {
+      ASSERT_TRUE(db_->Checkpoint().ok());  // The newest restart point.
+    }
+    ASSERT_TRUE(WriteTxn(2, 0x44).ok());
+    ASSERT_TRUE(db_->FailDisk(0).ok());
+    ASSERT_TRUE(db_->FailDisk(1).ok());
+    auto report = db_->RestoreFromArchive();
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    EXPECT_EQ(report->scan_start_lsn, archive_point);
+    EXPECT_EQ(report->winners.size(), 3u);
+    EXPECT_EQ(DiskByte(0), 0x33);
+    EXPECT_EQ(DiskByte(1), 0x22);
+    EXPECT_EQ(DiskByte(2), 0x44);
+    auto parity_ok = db_->VerifyAllParity();
+    ASSERT_TRUE(parity_ok.ok());
+    EXPECT_TRUE(*parity_ok);
+  }
+}
+
 TEST_F(ArchiveTest, RestoreWithoutArchiveRefused) {
   Open();
   EXPECT_TRUE(db_->RestoreFromArchive().status().IsFailedPrecondition());

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <condition_variable>
 #include <map>
+#include <mutex>
+#include <thread>
 #include <tuple>
 
 #include "common/random.h"
@@ -197,6 +200,74 @@ TEST(DatabaseOpenTest, SinglParityBaselineWorks) {
   auto ok = (*db)->VerifyAllParity();
   ASSERT_TRUE(ok.ok());
   EXPECT_TRUE(*ok);
+}
+
+// An automatic checkpoint that meets a frame whose modifier is mid-call
+// gives up with kBusy. The update that triggered it has already taken
+// effect, so that update still succeeds; the checkpoint stays armed and is
+// retried on the next update.
+TEST(DatabaseCheckpointTest, BusyAutoCheckpointRetriesOnNextUpdate) {
+  DatabaseOptions options;
+  options.array.data_pages_per_group = 4;
+  options.array.parity_copies = 2;
+  options.array.min_data_pages = 32;
+  options.array.page_size = 128;
+  options.buffer.capacity = 16;
+  options.txn.force = false;
+  options.checkpoint_interval_updates = 2;
+  auto opened = Database::Open(options);
+  ASSERT_TRUE(opened.ok());
+  Database* db = opened->get();
+  const std::vector<uint8_t> bytes(db->user_page_size(), 0x5a);
+
+  auto busy_txn = db->Begin();
+  ASSERT_TRUE(db->WritePage(*busy_txn, 0, bytes).ok());  // Update 1.
+  // Park another thread inside "a call" of busy_txn: it holds the
+  // transaction's mutex, so propagating page 0 answers kBusy.
+  Transaction* parked = db->txn_manager()->Find(*busy_txn);
+  ASSERT_NE(parked, nullptr);
+  std::mutex gate_mu;
+  std::condition_variable gate_cv;
+  bool held = false;
+  bool release = false;
+  std::thread holder([&] {
+    std::lock_guard<std::mutex> txn_lock(parked->mu);
+    std::unique_lock<std::mutex> lock(gate_mu);
+    held = true;
+    gate_cv.notify_all();
+    gate_cv.wait(lock, [&] { return release; });
+  });
+  {
+    std::unique_lock<std::mutex> lock(gate_mu);
+    gate_cv.wait(lock, [&] { return held; });
+  }
+
+  auto writer = db->Begin();
+  ASSERT_TRUE(db->WritePage(*writer, 5, bytes).ok());  // Update 2: busy.
+  EXPECT_EQ(db->checkpointer()->checkpoints_busy(), 1u);
+  EXPECT_EQ(db->checkpointer()->checkpoints_taken(), 0u);
+  ASSERT_TRUE(db->WritePage(*writer, 6, bytes).ok());  // Retried: busy.
+  EXPECT_EQ(db->checkpointer()->checkpoints_busy(), 2u);
+  {
+    std::lock_guard<std::mutex> lock(gate_mu);
+    release = true;
+  }
+  gate_cv.notify_all();
+  holder.join();
+  ASSERT_TRUE(db->WritePage(*writer, 7, bytes).ok());  // Retried: taken.
+  EXPECT_EQ(db->checkpointer()->checkpoints_taken(), 1u);
+  EXPECT_EQ(db->checkpointer()->checkpoints_busy(), 2u);
+  EXPECT_EQ(db->SnapshotMetrics().CounterValue("recovery.checkpoints_busy"),
+            2u);
+
+  // Every write took effect.
+  std::vector<uint8_t> read;
+  for (const PageId page : {5u, 6u, 7u}) {
+    ASSERT_TRUE(db->ReadPage(*writer, page, &read).ok());
+    EXPECT_EQ(read, bytes) << "page " << page;
+  }
+  ASSERT_TRUE(db->Commit(*writer).ok());
+  ASSERT_TRUE(db->Commit(*busy_txn).ok());
 }
 
 TEST(DatabaseStatsTest, TransferAccountingMoves) {

@@ -69,6 +69,24 @@ TEST_F(MediaRecoveryTest, EveryDiskIsRebuildable) {
   }
 }
 
+TEST_F(MediaRecoveryTest, BothRebuildPathsReportTheirPhase) {
+  Open();
+  Populate();
+  ASSERT_TRUE(db_->FailDisk(1).ok());
+  auto quiescent = db_->RebuildDisk(1);
+  ASSERT_TRUE(quiescent.ok()) << quiescent.status().ToString();
+  ASSERT_TRUE(db_->FailDisk(2).ok());
+  auto online = db_->RebuildDiskOnline(2);
+  ASSERT_TRUE(online.ok()) << online.status().ToString();
+  ASSERT_TRUE(online->completed);
+  for (const MediaRecoveryReport* report : {&*quiescent, &*online}) {
+    ASSERT_EQ(report->phases.size(), 1u) << "disk " << report->disk;
+    EXPECT_EQ(report->phases[0].phase, obs::RecoveryPhase::kMediaRebuild);
+    EXPECT_GT(report->phases[0].page_transfers, 0u);
+  }
+  VerifyAllPages();
+}
+
 TEST_F(MediaRecoveryTest, DegradedReadsWorkWhileDiskDown) {
   Open();
   Populate();

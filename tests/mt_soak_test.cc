@@ -619,6 +619,138 @@ TEST(MtSoakRebuildTest, ConcurrentRebuildAndRecoveryAreRaceFree) {
   EXPECT_TRUE(scrub->repaired.empty());
 }
 
+// Checkpoints taken while writers commit and abort are restart points:
+// after a crash, recovery reads the log from the newest one only. The
+// recovered state must still match each writer's shadow of its committed
+// pages (writers own disjoint pages, so each shadow is exact), and the
+// transactions left open at the crash must leave no trace.
+TEST(MtSoakCheckpointTest, CheckpointsAmidWritersBoundRestartAndKeepCommits) {
+  constexpr PageId kPagesPerWriter = kPages / kThreads;
+  DatabaseOptions options = MakeOptions(/*force=*/false, /*rda=*/true);
+  auto db = Database::Open(options);
+  ASSERT_TRUE(db.ok());
+  Database* database = db->get();
+  std::atomic<bool> stop{false};
+  std::atomic<bool> failed{false};
+  std::atomic<uint32_t> checkpoints{0};
+  std::atomic<uint32_t> finished{0};  // Transactions that reached EOT.
+  std::vector<std::map<PageId, uint8_t>> shadows(kThreads);
+
+  auto writer = [&](uint32_t w) {
+    Random rng(900 + w);
+    std::vector<uint8_t> bytes(database->user_page_size());
+    const PageId base = w * kPagesPerWriter;
+    // Writers keep going for a while after the last checkpoint, so that
+    // restart has post-checkpoint work to redo.
+    for (int after_stop = 10; !stop.load() || after_stop-- > 0;) {
+      std::vector<std::pair<PageId, uint8_t>> writes;
+      const int ops = 1 + static_cast<int>(rng.Uniform(3));
+      for (int op = 0; op < ops; ++op) {
+        writes.emplace_back(
+            base + static_cast<PageId>(rng.Uniform(kPagesPerWriter)),
+            static_cast<uint8_t>(rng.UniformRange(1, 250)));
+      }
+      const bool abort = rng.Bernoulli(0.2);
+      for (int attempt = 0;; ++attempt) {
+        if (attempt == 10000) {
+          failed.store(true);
+          return;
+        }
+        auto txn = database->Begin();
+        Status status = txn.status();
+        for (size_t i = 0; status.ok() && i < writes.size(); ++i) {
+          std::fill(bytes.begin(), bytes.end(), writes[i].second);
+          status = database->WritePage(*txn, writes[i].first, bytes);
+        }
+        if (status.ok() && !abort) {
+          status = database->Commit(*txn);
+          if (status.ok()) {
+            for (const auto& [page, fill] : writes) {
+              shadows[w][page] = fill;
+            }
+            break;
+          }
+        }
+        if (!status.ok() && !status.IsBusy()) {
+          failed.store(true);
+          return;
+        }
+        if (!database->Abort(*txn).ok()) {
+          failed.store(true);
+          return;
+        }
+        if (status.ok()) {
+          break;  // Scripted abort.
+        }
+        std::this_thread::yield();
+      }
+      finished.fetch_add(1);
+      // Leave gaps in which no frame is mid-call, so checkpoints succeed.
+      std::this_thread::sleep_for(std::chrono::microseconds(20));
+    }
+    // One transaction per writer is still open at the crash.
+    auto loser = database->Begin();
+    std::fill(bytes.begin(), bytes.end(), 0xEE);
+    for (PageId page = base; page < base + 3; ++page) {
+      if (!database->WritePage(*loser, page, bytes).ok()) {
+        failed.store(true);
+        return;
+      }
+    }
+  };
+
+  std::vector<std::thread> writers;
+  for (uint32_t w = 0; w < kThreads; ++w) {
+    writers.emplace_back(writer, w);
+  }
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (finished.load() < 40 && !failed.load() &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();  // Let the writers build up a history.
+  }
+  while (checkpoints.load() < 3 && !failed.load() &&
+         std::chrono::steady_clock::now() < deadline) {
+    const Status status = database->Checkpoint();
+    if (status.ok()) {
+      checkpoints.fetch_add(1);
+    } else if (!status.IsBusy()) {
+      failed.store(true);
+    }
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+  }
+  stop.store(true);
+  for (std::thread& thread : writers) {
+    thread.join();
+  }
+  ASSERT_FALSE(failed.load());
+  ASSERT_GE(checkpoints.load(), 3u) << "no checkpoint got through";
+
+  database->Crash();
+  auto report = database->Recover();
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_GT(report->scan_start_lsn, 0u);
+  // A loser whose BOT was still buffered at the crash left no trace.
+  EXPECT_LE(report->losers.size(), kThreads);
+  for (uint32_t w = 0; w < kThreads; ++w) {
+    for (PageId page = w * kPagesPerWriter;
+         page < (w + 1) * kPagesPerWriter; ++page) {
+      auto payload = database->RawReadPage(page);
+      ASSERT_TRUE(payload.ok());
+      const auto it = shadows[w].find(page);
+      const uint8_t expected = it == shadows[w].end() ? 0 : it->second;
+      const std::vector<uint8_t> want(payload->size() - kDataRegionOffset,
+                                      expected);
+      ASSERT_TRUE(std::equal(want.begin(), want.end(),
+                             payload->begin() + kDataRegionOffset))
+          << "page " << page;
+    }
+  }
+  auto parity_ok = database->VerifyAllParity();
+  ASSERT_TRUE(parity_ok.ok());
+  EXPECT_TRUE(*parity_ok);
+}
+
 // Concurrent span emission: four threads pour ScopedSpans into one shared
 // collector while a reader thread snapshots the rings the whole time. The
 // seqlock protocol must keep this data-race free (this file runs under the

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
 #include "core/database.h"
 
 namespace rda {
@@ -253,12 +256,20 @@ TEST_F(CrashRecoveryTest, ForceModeCrashNeedsNoRedo) {
   ASSERT_TRUE(db_->WritePage(*txn, 1, UserBytes(0x66)).ok());
   ASSERT_TRUE(db_->Commit(*txn).ok());
   EXPECT_EQ(DiskByte(1), 0x66);  // FORCE put it on disk already.
+  auto before = db_->RawReadPage(1);
+  ASSERT_TRUE(before.ok());
   db_->Crash();
   auto report = db_->Recover();
   ASSERT_TRUE(report.ok());
+  // TOC: the commit record is a restart point with nothing open before it,
+  // so restart reads that record alone and examines no after-image.
+  EXPECT_EQ(report->log_records_scanned, 1u);
   EXPECT_EQ(report->redo_applied, 0u);
-  EXPECT_GE(report->redo_skipped, 1u);  // pageLSN said "already there".
-  EXPECT_EQ(DiskByte(1), 0x66);
+  EXPECT_EQ(report->redo_skipped, 0u);
+  EXPECT_EQ(report->winners, std::vector<TxnId>{*txn});
+  auto after = db_->RawReadPage(1);
+  ASSERT_TRUE(after.ok());
+  EXPECT_EQ(*after, *before);
 }
 
 TEST_F(CrashRecoveryTest, CheckpointBoundsRedoAndSurvivesCrash) {
@@ -383,11 +394,24 @@ TEST_F(CrashRecoveryTest, RedoSkippedCountsForceProplagatedPages) {
                     .ok());
     ASSERT_TRUE(db_->Commit(*txn).ok());
   }
+  std::vector<std::vector<uint8_t>> before;
+  for (int i = 0; i < 3; ++i) {
+    auto payload = db_->RawReadPage(static_cast<PageId>(i * 4));
+    ASSERT_TRUE(payload.ok());
+    before.push_back(*payload);
+  }
   db_->Crash();
   auto report = db_->Recover();
   ASSERT_TRUE(report.ok());
+  // Nothing committed before the newest restart point is examined: the
+  // FORCE-propagated pages are neither redone nor even LSN-checked.
   EXPECT_EQ(report->redo_applied, 0u);
-  EXPECT_EQ(report->redo_skipped, 3u);
+  EXPECT_EQ(report->redo_skipped, 0u);
+  for (int i = 0; i < 3; ++i) {
+    auto payload = db_->RawReadPage(static_cast<PageId>(i * 4));
+    ASSERT_TRUE(payload.ok());
+    EXPECT_EQ(*payload, before[i]) << "page " << i * 4;
+  }
 }
 
 TEST_F(CrashRecoveryTest, FlushedBotWithoutWorkIsCleanLoser) {
@@ -452,6 +476,226 @@ TEST_F(CrashRecoveryTest, RestartSeedsTimestampsAboveStableTwins) {
   EXPECT_GE(report->parity_undos, 1u);
   EXPECT_EQ(DiskByte(1), 0xAA);
   ExpectParityConsistent();
+}
+
+// --- Restart points: restart reads the log from the newest restart LSN ---
+
+// Runs `history` committed single-page transactions, then a fence (a
+// checkpoint, or for FORCE the start of a long-lived loser), then a fixed
+// load: three winners and a stolen loser. Returns the page transfers of the
+// Recover() that follows a crash.
+//
+// Every history transaction logs the same number of bytes, so histories
+// that differ by a multiple of the log page size (128 B) leave the tail at
+// the same offset within its page: the final log flush then touches the
+// same number of pages, and any other difference in restart transfers
+// comes from reading history.
+constexpr int kShortHistory = 14;
+constexpr int kLongHistory = kShortHistory + 128;  // About 10x.
+
+uint64_t RestartTransfersAfterHistory(bool force, int history,
+                                      CrashRecoveryReport* report_out) {
+  DatabaseOptions options = BaseOptions();
+  options.txn.force = force;
+  auto opened = Database::Open(options);
+  EXPECT_TRUE(opened.ok());
+  std::unique_ptr<Database> db = std::move(opened).value();
+  const auto bytes = [&db](uint8_t fill) {
+    return std::vector<uint8_t>(db->user_page_size(), fill);
+  };
+  for (int i = 0; i < history; ++i) {
+    auto txn = db->Begin();
+    EXPECT_TRUE(db->WritePage(*txn, static_cast<PageId>(32 + i % 32),
+                              bytes(static_cast<uint8_t>(i)))
+                    .ok());
+    EXPECT_TRUE(db->Commit(*txn).ok());
+  }
+  if (force) {
+    // FORCE: every commit is a restart point, bounded by the oldest open
+    // transaction — this one, whose stolen page keeps it open to the end.
+    auto old_loser = db->Begin();
+    EXPECT_TRUE(db->WritePage(*old_loser, 20, bytes(0xE0)).ok());
+    Frame* frame = db->txn_manager()->pool()->Lookup(20);
+    EXPECT_NE(frame, nullptr);
+    EXPECT_TRUE(db->txn_manager()->pool()->PropagateFrame(frame).ok());
+  } else {
+    EXPECT_TRUE(db->Checkpoint().ok());
+  }
+  for (int i = 0; i < 3; ++i) {
+    auto txn = db->Begin();
+    EXPECT_TRUE(db->WritePage(*txn, static_cast<PageId>(4 * i + 1),
+                              bytes(static_cast<uint8_t>(0xA0 + i)))
+                    .ok());
+    EXPECT_TRUE(db->Commit(*txn).ok());
+  }
+  auto loser = db->Begin();
+  EXPECT_TRUE(db->WritePage(*loser, 17, bytes(0xEE)).ok());
+  Frame* frame = db->txn_manager()->pool()->Lookup(17);
+  EXPECT_NE(frame, nullptr);
+  EXPECT_TRUE(db->txn_manager()->pool()->PropagateFrame(frame).ok());
+
+  db->Crash();
+  const uint64_t before = db->TotalPageTransfers();
+  auto report = db->Recover();
+  EXPECT_TRUE(report.ok()) << report.status().ToString();
+  const uint64_t transfers = db->TotalPageTransfers() - before;
+  for (int i = 0; i < 3; ++i) {
+    auto payload = db->RawReadPage(static_cast<PageId>(4 * i + 1));
+    EXPECT_TRUE(payload.ok());
+    EXPECT_EQ((*payload)[kDataRegionOffset], 0xA0 + i);
+  }
+  auto loser_page = db->RawReadPage(17);
+  EXPECT_TRUE(loser_page.ok());
+  EXPECT_EQ((*loser_page)[kDataRegionOffset], 0x00);
+  *report_out = *report;
+  return transfers;
+}
+
+TEST_F(CrashRecoveryTest, NoForceRestartCostIgnoresHistoryBeforeCheckpoint) {
+  CrashRecoveryReport short_report;
+  CrashRecoveryReport long_report;
+  const uint64_t short_history =
+      RestartTransfersAfterHistory(false, kShortHistory, &short_report);
+  const uint64_t long_history =
+      RestartTransfersAfterHistory(false, kLongHistory, &long_report);
+  EXPECT_EQ(short_history, long_history);
+  EXPECT_EQ(short_report.log_records_scanned,
+            long_report.log_records_scanned);
+  EXPECT_GT(long_report.scan_start_lsn, short_report.scan_start_lsn);
+  EXPECT_EQ(long_report.winners.size(), 3u);
+  EXPECT_EQ(long_report.losers.size(), 1u);
+}
+
+TEST_F(CrashRecoveryTest, ForceRestartCostIgnoresHistoryBeforeOldestLoser) {
+  CrashRecoveryReport short_report;
+  CrashRecoveryReport long_report;
+  const uint64_t short_history =
+      RestartTransfersAfterHistory(true, kShortHistory, &short_report);
+  const uint64_t long_history =
+      RestartTransfersAfterHistory(true, kLongHistory, &long_report);
+  EXPECT_EQ(short_history, long_history);
+  EXPECT_EQ(short_report.log_records_scanned,
+            long_report.log_records_scanned);
+  EXPECT_GT(long_report.scan_start_lsn, short_report.scan_start_lsn);
+  // The long-lived loser holds R down to its BOT: the three later winners
+  // are read (and LSN-checked), the earlier ones are not.
+  EXPECT_EQ(long_report.winners.size(), 3u);
+  EXPECT_EQ(long_report.losers.size(), 2u);
+  EXPECT_EQ(long_report.redo_applied + long_report.redo_skipped, 3u);
+}
+
+// A loser that stays open across a restart point holds R down to its BOT:
+// its before-image, logged before the restart point, must still be read
+// and applied.
+TEST_F(CrashRecoveryTest, LoserOpenAcrossRestartPointIsFullyUndone) {
+  for (const bool force : {false, true}) {
+    SCOPED_TRACE(force ? "FORCE" : "notFORCE");
+    DatabaseOptions options = BaseOptions();
+    options.txn.force = force;
+    Open(options);
+    auto loser = db_->Begin();
+    // Same group: the first steal is unlogged (parity-covered), the
+    // second must log a before-image.
+    ASSERT_TRUE(db_->WritePage(*loser, 0, UserBytes(0xD1)).ok());
+    ASSERT_TRUE(db_->WritePage(*loser, 1, UserBytes(0xD2)).ok());
+    Steal(0);
+    Steal(1);
+    // The restart point: a checkpoint, or under FORCE any commit.
+    auto winner = db_->Begin();
+    ASSERT_TRUE(db_->WritePage(*winner, 8, UserBytes(0x77)).ok());
+    ASSERT_TRUE(db_->Commit(*winner).ok());
+    if (!force) {
+      ASSERT_TRUE(db_->Checkpoint().ok());
+    }
+    db_->Crash();
+    auto report = db_->Recover();
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    EXPECT_EQ(report->losers, std::vector<TxnId>{*loser});
+    EXPECT_EQ(report->parity_undos, 1u);
+    EXPECT_EQ(report->logged_undos, 1u);
+    EXPECT_EQ(DiskByte(0), 0x00);
+    EXPECT_EQ(DiskByte(1), 0x00);
+    EXPECT_EQ(DiskByte(8), 0x77);
+    ExpectParityConsistent();
+  }
+}
+
+TEST_F(CrashRecoveryTest, TxnIdsFinishedBeforeRestartLsnAreNotReused) {
+  for (const bool force : {false, true}) {
+    SCOPED_TRACE(force ? "FORCE" : "notFORCE");
+    DatabaseOptions options = BaseOptions();
+    options.txn.force = force;
+    Open(options);
+    // The loser draws the lowest id but logs its BOT only at its first
+    // write, after the winners have finished and a restart point exists.
+    auto loser = db_->Begin();
+    TxnId highest = *loser;
+    for (int i = 0; i < 8; ++i) {
+      auto txn = db_->Begin();
+      ASSERT_TRUE(db_->WritePage(*txn, static_cast<PageId>(i), UserBytes(0x30))
+                      .ok());
+      ASSERT_TRUE(db_->Commit(*txn).ok());
+      highest = std::max(highest, *txn);
+    }
+    if (!force) {
+      ASSERT_TRUE(db_->Checkpoint().ok());
+    }
+    ASSERT_TRUE(db_->WritePage(*loser, 12, UserBytes(0x31)).ok());
+    Steal(12);
+    db_->Crash();
+    auto report = db_->Recover();
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    EXPECT_EQ(report->losers, std::vector<TxnId>{*loser});
+    // Under FORCE the newest restart point is the last winner's own
+    // commit record, so that one winner is read; no other is.
+    EXPECT_LE(report->winners.size(), force ? 1u : 0u);
+    auto next = db_->Begin();
+    ASSERT_TRUE(next.ok());
+    EXPECT_GT(*next, highest);
+    ASSERT_TRUE(db_->Commit(*next).ok());
+  }
+}
+
+TEST_F(CrashRecoveryTest, CrashDuringBoundedRecoveryConverges) {
+  // A checkpoint bounds the log; winners after it need REDO, a loser after
+  // it needs parity undo. Crash the first recovery after k actions, for
+  // every k, then recover again: the same state every time.
+  for (uint64_t actions = 0; actions < 6; ++actions) {
+    SCOPED_TRACE("actions " + std::to_string(actions));
+    Open();
+    for (int i = 0; i < 10; ++i) {
+      auto txn = db_->Begin();
+      ASSERT_TRUE(db_->WritePage(*txn, static_cast<PageId>(i),
+                                 UserBytes(static_cast<uint8_t>(0x40 + i)))
+                      .ok());
+      ASSERT_TRUE(db_->Commit(*txn).ok());
+    }
+    ASSERT_TRUE(db_->Checkpoint().ok());
+    for (int i = 0; i < 3; ++i) {
+      auto txn = db_->Begin();
+      ASSERT_TRUE(db_->WritePage(*txn, static_cast<PageId>(i),
+                                 UserBytes(static_cast<uint8_t>(0x70 + i)))
+                      .ok());
+      ASSERT_TRUE(db_->Commit(*txn).ok());
+    }
+    auto loser = db_->Begin();
+    ASSERT_TRUE(db_->WritePage(*loser, 9, UserBytes(0xEE)).ok());
+    Steal(9);
+    db_->Crash();
+    auto faulty = db_->RecoverWithInjectedFault(actions);
+    if (!faulty.ok()) {
+      EXPECT_TRUE(faulty.status().IsAborted());
+      db_->Crash();
+    }
+    auto report = db_->Recover();
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    for (int i = 0; i < 10; ++i) {
+      EXPECT_EQ(DiskByte(static_cast<PageId>(i)),
+                i < 3 ? 0x70 + i : 0x40 + i)
+          << "page " << i;
+    }
+    ExpectParityConsistent();
+  }
 }
 
 }  // namespace

@@ -522,6 +522,61 @@ TEST_F(TxnManagerTest, ChainLinksRecordedOnDisk) {
   EXPECT_EQ(meta.chain_prev, kInvalidPageId);
 }
 
+TEST_F(TxnManagerTest, FinishedTransactionsLeaveTheTable) {
+  Build(TxnConfig{});
+  // Three transactions stay open throughout; 20k others come and go.
+  std::vector<TxnId> open;
+  for (PageId page = 40; page < 43; ++page) {
+    auto txn = tm_->Begin();
+    ASSERT_TRUE(tm_->WritePage(*txn, page, UserBytes(0x0f)).ok());
+    open.push_back(*txn);
+  }
+  TxnId committed = kInvalidTxnId;
+  TxnId aborted = kInvalidTxnId;
+  for (int i = 0; i < 20000; ++i) {
+    auto txn = tm_->Begin();
+    ASSERT_TRUE(txn.ok());
+    if (i % 3 != 2) {  // Every third one is read-only: it logs no BOT.
+      ASSERT_TRUE(tm_->WritePage(*txn, static_cast<PageId>(i % 40),
+                                 UserBytes(static_cast<uint8_t>(i)))
+                      .ok());
+    }
+    if (i % 2 == 0) {
+      ASSERT_TRUE(tm_->Commit(*txn).ok());
+      committed = *txn;
+    } else {
+      ASSERT_TRUE(tm_->Abort(*txn).ok());
+      aborted = *txn;
+    }
+  }
+  EXPECT_EQ(tm_->tracked_txns(), open.size());
+  EXPECT_EQ(tm_->ActiveTxns(), open);
+  // A finished id is "not active", not unknown.
+  EXPECT_TRUE(tm_->Commit(committed).IsFailedPrecondition());
+  EXPECT_TRUE(tm_->Abort(aborted).IsFailedPrecondition());
+  EXPECT_TRUE(
+      tm_->WritePage(committed, 0, UserBytes(1)).IsFailedPrecondition());
+  EXPECT_TRUE(tm_->Commit(tm_->next_txn_id()).IsNotFound());
+  // Their restart-point claims went with them: only the open three hold a
+  // restart point down, to the first one's BOT.
+  LogRecord point;
+  point.type = LogRecordType::kCheckpoint;
+  auto lsn = log_->AppendRestartPoint(point, kInvalidLsn);
+  ASSERT_TRUE(lsn.ok());
+  ASSERT_TRUE(log_->Flush().ok());
+  std::vector<LogRecord> records;
+  ASSERT_TRUE(log_->Scan(0, &records).ok());
+  ASSERT_EQ(records.front().type, LogRecordType::kBot);
+  EXPECT_EQ(records.front().txn, open.front());
+  EXPECT_EQ(records.back().lsn, *lsn);
+  EXPECT_EQ(records.back().restart_lsn, records.front().lsn);
+  EXPECT_EQ(records.back().next_txn, tm_->next_txn_id());
+  for (const TxnId txn : open) {
+    ASSERT_TRUE(tm_->Commit(txn).ok());
+  }
+  EXPECT_EQ(tm_->tracked_txns(), 0u);
+}
+
 TEST_F(TxnManagerTest, AccessorsReportGeometry) {
   TxnConfig config;
   config.logging_mode = LoggingMode::kRecordLogging;

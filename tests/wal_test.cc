@@ -408,5 +408,127 @@ TEST(LogManagerTest, TruncateBeyondFlushedOrOffBoundaryRejected) {
   EXPECT_TRUE(log.Truncate(*second).ok());
 }
 
+// --- Restart points ---
+
+TEST(LogRecordTest, RestartPointFieldsRoundTripAndCostSixteenBytes) {
+  LogRecord commit;
+  commit.type = LogRecordType::kCommit;
+  commit.txn = 9;
+  const size_t plain = EncodeLogRecord(commit).size();
+  commit.restart_lsn = 1234;
+  commit.next_txn = 77;
+  const std::vector<uint8_t> bytes = EncodeLogRecord(commit);
+  EXPECT_EQ(bytes.size(), plain + 16);
+  auto decoded = DecodeLogRecord(bytes.data(), bytes.size());
+  ASSERT_TRUE(decoded.ok());
+  EXPECT_EQ(*decoded, commit);
+}
+
+LogRecord Bot(TxnId txn) {
+  LogRecord bot;
+  bot.type = LogRecordType::kBot;
+  bot.txn = txn;
+  return bot;
+}
+
+LogRecord Commit(TxnId txn) {
+  LogRecord commit;
+  commit.type = LogRecordType::kCommit;
+  commit.txn = txn;
+  return commit;
+}
+
+TEST(LogManagerTest, RestartLsnIsBoundedByOtherOpenTransactions) {
+  LogManager log(LogManager::Options{});
+  const Lsn bot1 = *log.Append(Bot(1));
+  const Lsn bot2 = *log.Append(Bot(2));
+  // Transaction 1 commits: its own BOT does not hold R down, 2's does.
+  const Lsn c1 = *log.AppendRestartPoint(Commit(1), kInvalidLsn);
+  log.CloseTxn(1, bot1);
+  // Nothing open but 2's; once 2 closes, a commit point is its own R.
+  const Lsn c2 = *log.AppendRestartPoint(Commit(2), kInvalidLsn);
+  log.CloseTxn(2, bot2);
+  const Lsn c3 = *log.AppendRestartPoint(Commit(3), kInvalidLsn);
+  // A checkpoint's bound caps R below its own LSN.
+  LogRecord checkpoint;
+  checkpoint.type = LogRecordType::kCheckpoint;
+  checkpoint.next_txn = 10;
+  const Lsn cp = *log.AppendRestartPoint(checkpoint, c3);
+  ASSERT_TRUE(log.Flush().ok());
+  std::vector<LogRecord> records;
+  ASSERT_TRUE(log.Scan(0, &records).ok());
+  ASSERT_EQ(records.size(), 6u);
+  EXPECT_EQ(records[2].lsn, c1);
+  EXPECT_EQ(records[2].restart_lsn, bot2);
+  EXPECT_EQ(records[3].lsn, c2);
+  EXPECT_EQ(records[3].restart_lsn, c2);
+  EXPECT_EQ(records[4].restart_lsn, c3);
+  EXPECT_EQ(records[5].lsn, cp);
+  EXPECT_EQ(records[5].restart_lsn, c3);
+  // next_txn: at least the caller's, and above every BOT the log has seen.
+  EXPECT_EQ(records[2].next_txn, 3u);
+  EXPECT_EQ(records[5].next_txn, 10u);
+  EXPECT_EQ(records[0].restart_lsn, kInvalidLsn);  // A BOT is no point.
+}
+
+TEST(LogManagerTest, ReadForRestartStartsAtNewestRestartLsn) {
+  LogManager::Options options;
+  options.page_size = 64;
+  LogManager log(options);
+  // No restart point yet: the whole stable log is read.
+  ASSERT_TRUE(log.Append(SampleRecord()).ok());
+  ASSERT_TRUE(log.Flush().ok());
+  LogManager::RestartRead read;
+  ASSERT_TRUE(log.ReadForRestart(kInvalidLsn, &read).ok());
+  EXPECT_EQ(read.restart_lsn, kInvalidLsn);
+  EXPECT_EQ(read.scan_start, 0u);
+  EXPECT_EQ(read.records.size(), 1u);
+
+  const Lsn old_bot = *log.Append(Bot(5));
+  ASSERT_TRUE(log.AppendRestartPoint(Commit(5), kInvalidLsn).ok());
+  log.CloseTxn(5, old_bot);
+  for (int i = 0; i < 20; ++i) {
+    ASSERT_TRUE(log.Append(SampleRecord()).ok());  // History.
+  }
+  const Lsn open_bot = *log.Append(Bot(6));
+  ASSERT_TRUE(log.Append(SampleRecord()).ok());
+  LogRecord checkpoint;
+  checkpoint.type = LogRecordType::kCheckpoint;
+  checkpoint.next_txn = 7;
+  const Lsn cp = *log.AppendRestartPoint(checkpoint, log.next_lsn());
+  ASSERT_TRUE(log.Append(SampleRecord()).ok());
+  ASSERT_TRUE(log.Flush().ok());
+  // A restart point still in the volatile buffer does not count.
+  ASSERT_TRUE(log.AppendRestartPoint(Commit(8), kInvalidLsn).ok());
+
+  const uint64_t reads_before = log.counters().page_reads;
+  ASSERT_TRUE(log.ReadForRestart(kInvalidLsn, &read).ok());
+  EXPECT_EQ(read.restart_lsn, open_bot);
+  EXPECT_EQ(read.next_txn, 7u);
+  EXPECT_EQ(read.scan_start, open_bot);
+  ASSERT_EQ(read.records.size(), 4u);
+  EXPECT_EQ(read.records[0].lsn, open_bot);
+  EXPECT_EQ(read.records[2].lsn, cp);
+  // Each page from R to the tail is charged once.
+  const uint64_t pages =
+      (log.flushed_lsn() - open_bot + options.page_size - 1) /
+      options.page_size;
+  EXPECT_EQ(log.counters().page_reads - reads_before, pages);
+
+  // A caller may start earlier than R (an archive restore does).
+  ASSERT_TRUE(log.ReadForRestart(old_bot, &read).ok());
+  EXPECT_EQ(read.scan_start, old_bot);
+  EXPECT_EQ(read.records.size(), 2u + 20u + 4u);
+  EXPECT_EQ(read.restart_lsn, open_bot);
+
+  // A crash drops the volatile restart point and every open claim.
+  log.LoseVolatileState();
+  const Lsn after_crash = *log.AppendRestartPoint(Commit(9), kInvalidLsn);
+  ASSERT_TRUE(log.Flush().ok());
+  ASSERT_TRUE(log.ReadForRestart(kInvalidLsn, &read).ok());
+  EXPECT_EQ(read.restart_lsn, after_crash);
+  EXPECT_EQ(read.records.size(), 1u);
+}
+
 }  // namespace
 }  // namespace rda
