@@ -12,12 +12,14 @@
 // Writes machine-readable JSON (BENCH_fuzz.json).
 //
 // Usage: fuzz_report [output.json] [failure_dir] [seeds_per_config]
-//                    [io_width]
-//        (defaults: BENCH_fuzz.json, fuzz_failures, 63, 0)
+//                    [io_width] [recovery_threads]
+//        (defaults: BENCH_fuzz.json, fuzz_failures, 63, 0, 1)
 // io_width > 0 replays the whole sweep with the async per-disk I/O engine
 // enabled at that width — the equivalence soak for the submission-queue
 // journal (e.g. `fuzz_report async.json async_failures 250 2` is a
-// 2000-schedule async sweep).
+// 2000-schedule async sweep). recovery_threads > 1 gives every run a
+// recovery worker pool of that width, so restart, media rebuild and
+// runtime abort take their sharded paths.
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -94,6 +96,24 @@ Schedule MakeSchedule(bool force, rda::LoggingMode mode, uint32_t threads,
     }
     schedule.faults.push_back(fault);
   }
+  // Half the single-threaded schedules hold a transaction open across
+  // later commits and checkpoints (drawn from a separate stream, so the
+  // fields above match the sweep without holds); a third of those never
+  // close it, leaving a loser for the final restart.
+  Random hold_rng(seed * 0xC2B2AE3D27D4EB4FULL + threads * 17 +
+                  (force ? 5 : 0) +
+                  (mode == rda::LoggingMode::kPageLogging ? 0 : 11));
+  if (threads == 1 && hold_rng.Bernoulli(0.5)) {
+    rda::fuzz::HoldSpan hold;
+    hold.open = static_cast<uint32_t>(hold_rng.Uniform(step_space / 2));
+    // A transaction is at most 7 micro-ops, so 8 per step is past the end.
+    hold.close = hold_rng.Bernoulli(1.0 / 3)
+                     ? schedule.num_steps * 8
+                     : hold.open + 1 +
+                           static_cast<uint32_t>(hold_rng.Uniform(step_space));
+    hold.commit = hold_rng.Bernoulli(0.5);
+    schedule.hold = hold;
+  }
   return schedule;
 }
 
@@ -120,6 +140,9 @@ int main(int argc, char** argv) {
   run_options.io_width =
       argc > 4 ? static_cast<uint32_t>(std::strtoul(argv[4], nullptr, 10))
                : 0;
+  run_options.recovery_threads =
+      argc > 5 ? static_cast<uint32_t>(std::strtoul(argv[5], nullptr, 10))
+               : 1;
 
   const struct {
     bool force;
@@ -168,7 +191,7 @@ int main(int argc, char** argv) {
           SaveFailure(failure_dir, violations, "", schedule.ToString());
           // Hand the developer the smallest repro we can find, too.
           rda::Result<rda::fuzz::ShrinkResult> shrunk =
-              rda::fuzz::Shrink(schedule, {}, /*max_runs=*/120);
+              rda::fuzz::Shrink(schedule, run_options, /*max_runs=*/120);
           if (shrunk.ok()) {
             std::fprintf(stderr, "  minimized: %s\n    %s\n",
                          shrunk->minimized.ToString().c_str(),
@@ -218,6 +241,8 @@ int main(int argc, char** argv) {
   std::ofstream json(out_path);
   json << "{\n"
        << "  \"io_width\": " << run_options.io_width << ",\n"
+       << "  \"recovery_threads\": " << run_options.recovery_threads
+       << ",\n"
        << "  \"schedules\": " << runs << ",\n"
        << "  \"distinct\": " << distinct.size() << ",\n"
        << "  \"violations\": " << violations << ",\n"

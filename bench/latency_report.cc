@@ -167,11 +167,19 @@ int main(int argc, char** argv) {
         workload.pages = kPages;
         workload.write_fraction = 1.0;
         workload.seed = 29 + threads;
-        auto run = db->txn_manager()->RunConcurrent(workload);
+        auto run = db->RunConcurrent(workload);
         if (!run.ok()) {
           std::fprintf(stderr, "%s rda=%d t=%u: run failed: %s\n",
                        config.name, rda_on ? 1 : 0, threads,
                        run.status().message().c_str());
+          return 1;
+        }
+
+        const uint64_t checkpoints =
+            db->SnapshotMetrics().CounterValue("recovery.checkpoints");
+        if (config.checkpoint_interval > 0 && checkpoints == 0) {
+          std::fprintf(stderr, "%s rda=%d t=%u: no checkpoint completed\n",
+                       config.name, rda_on ? 1 : 0, threads);
           return 1;
         }
 
@@ -197,6 +205,8 @@ int main(int argc, char** argv) {
         json += std::to_string(threads);
         json += ",\"committed\":";
         json += std::to_string(run->committed);
+        json += ",\"checkpoints\":";
+        json += std::to_string(checkpoints);
         json += ",\"operations\":{";
         bool first_op = true;
         for (const char* name : kOperationHists) {

@@ -56,15 +56,10 @@ Result<std::unique_ptr<Database>> Database::Open(
     db->array_->ArmFaultInjection(opts.fault);
   }
   db->log_ = std::make_unique<LogManager>(opts.log);
-  // Provider, not pointer: SetIoPolicy recreates the engine, and the log
-  // must always duplex through the array's CURRENT one (or serially, when
-  // a later policy turns the engine off).
-  db->log_->AttachIoEngine(
-      [array = db->array_.get()] { return array->io_engine(); });
   db->locks_ = std::make_unique<LockManager>();
   db->txn_manager_ = std::make_unique<TransactionManager>(
       opts.txn, db->parity_.get(), db->log_.get(), db->locks_.get(),
-      opts.buffer);
+      opts.buffer, db->recovery_pool_.get());
   db->checkpointer_ = std::make_unique<Checkpointer>(db->txn_manager_.get(),
                                                      db->log_.get());
   db->archive_ = std::make_unique<ArchiveManager>(
@@ -205,7 +200,7 @@ Status Database::FinishInterruptedRebuilds() {
     // The media rebuild needs Current_Parity; rebuild the directory with
     // the suspect disk out (its twins are selected around). CrashRecovery
     // rebuilds it again afterwards, then on a fully healthy array.
-    RDA_RETURN_IF_ERROR(parity_->RebuildDirectory());
+    RDA_RETURN_IF_ERROR(parity_->RebuildDirectory(recovery_pool_.get()));
     MediaRecovery recovery(parity_.get(), recovery_pool_.get());
     recovery.AttachObs(obs_.get());
     RDA_ASSIGN_OR_RETURN(MediaRecoveryReport report,

@@ -102,6 +102,14 @@ class Database {
                      const std::vector<uint8_t>& bytes);
   Status Commit(TxnId txn) { return txn_manager_->Commit(txn); }
 
+  // TransactionManager::RunConcurrent through this API: every write counts
+  // toward checkpoint_interval_updates, so the workload checkpoints at its
+  // interval.
+  Result<ConcurrentResult> RunConcurrent(ConcurrentWorkload workload) {
+    workload.after_write = [this] { return MaybeAutoCheckpoint(); };
+    return txn_manager_->RunConcurrent(workload);
+  }
+
   // Aborts `txn`. Returns kDataLoss — without aborting — if a disk failure
   // destroyed the undo coverage of one of its unlogged updates (see
   // MediaRecoveryReport::undo_coverage_lost); such a transaction can only

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -16,9 +17,10 @@
 namespace rda::exec {
 
 // Parallelism knob for the recovery paths (crash recovery, media rebuild,
-// parity scrub, archive restore). Threaded from DatabaseOptions down to
-// every recovery algorithm; 1 (the default) keeps every path on the plain
-// serial loop — bit-for-bit identical to a build without the pool.
+// parity scrub, archive restore) and for the disk undo of a runtime
+// abort. Threaded from DatabaseOptions down to every recovery algorithm
+// and to the TransactionManager; 1 (the default) keeps every path on the
+// plain serial loop — bit-for-bit identical to a build without the pool.
 struct RecoveryOptions {
   uint32_t recovery_threads = 1;
 };
@@ -98,6 +100,34 @@ class WorkerPool {
 // guaranteed to stay byte-identical to the pre-pool behavior.
 Status RunSharded(WorkerPool* pool, uint64_t count,
                   const WorkerPool::ShardFn& fn);
+
+// Buckets work items by key (a parity group, say) for RunSharded: one
+// bucket per key, the buckets in ascending key order, each bucket's items
+// in insertion order. Without a pool wider than 1 every item lands in one
+// bucket in insertion order, so running the buckets is exactly the serial
+// loop over all items.
+template <typename Bucket>
+class KeyedShards {
+ public:
+  explicit KeyedShards(const WorkerPool* pool)
+      : parallel_(pool != nullptr && pool->width() > 1) {}
+
+  Bucket& At(uint64_t key) { return buckets_[parallel_ ? key : 0]; }
+
+  // The buckets, in ascending key order; index i is RunSharded's shard i.
+  std::vector<Bucket*> Shards() {
+    std::vector<Bucket*> shards;
+    shards.reserve(buckets_.size());
+    for (auto& [key, bucket] : buckets_) {
+      shards.push_back(&bucket);
+    }
+    return shards;
+  }
+
+ private:
+  const bool parallel_;
+  std::map<uint64_t, Bucket> buckets_;
+};
 
 }  // namespace rda::exec
 

@@ -46,6 +46,7 @@ DatabaseOptions MakeDbOptions(const Schedule& schedule,
   options.io.max_read_retries = 4;
   options.io.max_write_retries = 4;
   options.io.width = fuzz_options.io_width;
+  options.recovery.recovery_threads = fuzz_options.recovery_threads;
   options.obs.enable_metrics = true;
   return options;
 }
@@ -132,11 +133,10 @@ class Runner {
   // Crash() + Recover() (optionally crashing the first recovery after
   // `recovery_faults` actions), then bug hook + oracle. Coordinator-only.
   void DoCrashAndRecover(uint32_t recovery_faults);
-  // Applies one scripted fault synchronously. `cur`/`must_commit` (may be
-  // null) let a disk-failure event flag the single-threaded run's active
-  // transaction when its undo coverage was lost.
-  void ApplyFault(const FaultEvent& fault, const TxnId* cur,
-                  bool* must_commit);
+  // Applies one scripted fault synchronously. A disk-failure event appends
+  // the transactions whose undo coverage it destroyed to `undo_lost` (may
+  // be null): they can only commit.
+  void ApplyFault(const FaultEvent& fault, std::vector<TxnId>* undo_lost);
   // A failed disk removes one member from EVERY group, so an unhealed
   // scripted sector fault anywhere else would turn into a double erasure —
   // outside the single-fault coverage the array promises. Heal them first
@@ -239,8 +239,8 @@ void Runner::DoCrashAndRecover(uint32_t recovery_faults) {
   RunOracle();
 }
 
-void Runner::ApplyFault(const FaultEvent& fault, const TxnId* cur,
-                        bool* must_commit) {
+void Runner::ApplyFault(const FaultEvent& fault,
+                        std::vector<TxnId>* undo_lost) {
   DiskArray* array = db_->array();
   const Layout& layout = array->layout();
   switch (fault.kind) {
@@ -322,13 +322,10 @@ void Runner::ApplyFault(const FaultEvent& fault, const TxnId* cur,
                         " failed: " + report.status().ToString());
         return;
       }
-      if (cur != nullptr && must_commit != nullptr &&
-          *cur != kInvalidTxnId) {
-        for (TxnId lost : report->undo_coverage_lost) {
-          if (lost == *cur) {
-            *must_commit = true;  // Abort would be kDataLoss; commit at EOT.
-          }
-        }
+      if (undo_lost != nullptr) {
+        undo_lost->insert(undo_lost->end(),
+                          report->undo_coverage_lost.begin(),
+                          report->undo_coverage_lost.end());
       }
       return;
     }
@@ -359,8 +356,17 @@ bool Runner::CommitInstead(TxnId txn, const PendingWrites& pending) {
 }
 
 void Runner::RunSingleThreaded() {
+  // A held transaction gets the last parity group to itself.
+  const Layout& layout = db_->array()->layout();
+  const GroupId held_group = db_->array()->num_groups() - 1;
+  const PageId held_pages[] = {layout.PageAt(held_group, 0),
+                               layout.PageAt(held_group, 1)};
   sim::WorkloadOptions workload;
   workload.num_pages = db_->num_pages();
+  if (schedule_.hold) {
+    workload.num_pages =
+        std::min(workload.num_pages, std::min(held_pages[0], held_pages[1]));
+  }
   workload.pages_per_txn = 4;
   workload.communality = 0.5;
   workload.update_txn_fraction = 0.7;
@@ -408,10 +414,79 @@ void Runner::RunSingleThreaded() {
   std::vector<uint8_t> page_bytes(db_->user_page_size());
   std::vector<uint8_t> record_bytes(record_size_);
   std::vector<uint8_t> read_buffer;
+  // Schedule::hold's transaction, while it is open.
+  TxnId held = kInvalidTxnId;
+  PendingWrites held_pending;
+
+  // Writes a fresh value as `txn`, noting it in `*writes`.
+  const auto write = [&](TxnId txn, PageId page, RecordSlot slot,
+                         PendingWrites* writes) {
+    const uint8_t value = NextValue();
+    Status status;
+    if (schedule_.mode == LoggingMode::kPageLogging) {
+      std::fill(page_bytes.begin(), page_bytes.end(), value);
+      status = db_->WritePage(txn, page, page_bytes);
+    } else {
+      std::fill(record_bytes.begin(), record_bytes.end(), value);
+      status = db_->WriteRecord(txn, page, slot, record_bytes);
+    }
+    if (status.ok()) {
+      writes->push_back({{page, slot}, value});
+    }
+    return status;
+  };
+  const auto steal = [&](PageId page) {
+    if (std::getenv("RDA_FUZZ_TRACE") != nullptr) {
+      std::fprintf(stderr, "  steal page %u\n", page);
+    }
+    auto* frame = db_->txn_manager()->pool()->Lookup(page);
+    if (frame != nullptr) {
+      Status status = db_->txn_manager()->pool()->PropagateFrame(frame);
+      if (!status.ok() && !status.IsBusy()) {
+        RecordViolation("steal propagation failed: " + status.ToString());
+      }
+    }
+  };
+  // Commits or aborts `txn`; an abort refused with kDataLoss (its undo
+  // coverage is gone) commits instead. Returns false after recording a
+  // violation.
+  const auto finish = [&](TxnId txn, bool commit, PendingWrites* writes) {
+    if (!commit) {
+      Status abort = db_->Abort(txn);
+      if (abort.ok()) {
+        writes->clear();
+        return true;
+      }
+      if (abort.IsDataLoss()) {
+        return CommitInstead(txn, *writes);
+      }
+      RecordViolation("abort failed: " + abort.ToString());
+      return false;
+    }
+    Status commit_status = db_->Commit(txn);
+    if (!commit_status.ok()) {
+      RecordViolation("commit failed: " + commit_status.ToString());
+      return false;
+    }
+    ApplyPending(*writes);
+    committed_.fetch_add(1, std::memory_order_relaxed);
+    return true;
+  };
 
   for (uint32_t idx = 0; idx <= end_step && !Violated(); ++idx) {
+    std::vector<TxnId> undo_lost;
     for (auto [it, end] = faults_at.equal_range(idx); it != end; ++it) {
-      ApplyFault(*it->second, &cur, &must_commit);
+      ApplyFault(*it->second, &undo_lost);
+    }
+    for (const TxnId lost : undo_lost) {
+      must_commit = must_commit || (cur != kInvalidTxnId && lost == cur);
+      if (held != kInvalidTxnId && lost == held && !Violated()) {
+        // It can no longer roll back, so a later crash could not undo it:
+        // commit it now rather than hold it open.
+        finish(held, /*commit=*/true, &held_pending);
+        held = kInvalidTxnId;
+        held_pending.clear();
+      }
     }
     for (auto [it, end] = crashes_at.equal_range(idx);
          it != end && !Violated(); ++it) {
@@ -420,6 +495,31 @@ void Runner::RunSingleThreaded() {
       pending.clear();
       must_commit = false;
       skipping = true;
+      held = kInvalidTxnId;
+      held_pending.clear();
+    }
+    if (schedule_.hold && idx == schedule_.hold->close &&
+        held != kInvalidTxnId && !Violated()) {
+      finish(held, schedule_.hold->commit, &held_pending);
+      held = kInvalidTxnId;
+      held_pending.clear();
+    }
+    if (schedule_.hold && idx == std::min(schedule_.hold->open, end_step) &&
+        !Violated()) {
+      Result<TxnId> txn = db_->Begin();
+      if (!txn.ok()) {
+        RecordViolation("Begin failed: " + txn.status().ToString());
+        continue;
+      }
+      held = *txn;
+      for (const PageId page : held_pages) {
+        const Status status = write(held, page, 0, &held_pending);
+        if (!status.ok()) {
+          RecordViolation("held write failed: " + status.ToString());
+          break;
+        }
+        steal(page);
+      }
     }
     if (Violated() || idx == end_step) {
       continue;
@@ -454,36 +554,17 @@ void Runner::RunSingleThreaded() {
         break;
       }
       case MicroOp::Kind::kWrite: {
-        const uint8_t value = NextValue();
-        Status write;
-        if (schedule_.mode == LoggingMode::kPageLogging) {
-          std::fill(page_bytes.begin(), page_bytes.end(), value);
-          write = db_->WritePage(cur, op.page, page_bytes);
-        } else {
-          std::fill(record_bytes.begin(), record_bytes.end(), value);
-          write = db_->WriteRecord(cur, op.page, op.slot, record_bytes);
-        }
-        if (!write.ok()) {
+        const Status status = write(cur, op.page, op.slot, &pending);
+        if (!status.ok()) {
           RecordViolation("single-threaded write failed: " +
-                          write.ToString());
+                          status.ToString());
           break;
         }
-        pending.push_back({{op.page, op.slot}, value});
         // A steal mid-transaction is where the twin-parity scheme differs
         // from the baseline (unlogged propagation, Figure 3); take it
         // often so crashes land between steal and EOT.
         if (steal_rng.Bernoulli(0.4)) {
-          if (std::getenv("RDA_FUZZ_TRACE") != nullptr) {
-            std::fprintf(stderr, "  steal page %u\n", op.page);
-          }
-          auto* frame = db_->txn_manager()->pool()->Lookup(op.page);
-          if (frame != nullptr) {
-            Status steal = db_->txn_manager()->pool()->PropagateFrame(frame);
-            if (!steal.ok() && !steal.IsBusy()) {
-              RecordViolation("steal propagation failed: " +
-                              steal.ToString());
-            }
-          }
+          steal(op.page);
         }
         break;
       }
@@ -511,28 +592,9 @@ void Runner::RunSingleThreaded() {
       }
       case MicroOp::Kind::kCommit:
       case MicroOp::Kind::kAbort: {
-        const bool want_abort =
-            op.kind == MicroOp::Kind::kAbort && !must_commit;
-        if (want_abort) {
-          Status abort = db_->Abort(cur);
-          if (abort.ok()) {
-            pending.clear();
-          } else if (abort.IsDataLoss()) {
-            if (!CommitInstead(cur, pending)) {
-              break;
-            }
-          } else {
-            RecordViolation("abort failed: " + abort.ToString());
-            break;
-          }
-        } else {
-          Status commit = db_->Commit(cur);
-          if (!commit.ok()) {
-            RecordViolation("commit failed: " + commit.ToString());
-            break;
-          }
-          ApplyPending(pending);
-          committed_.fetch_add(1, std::memory_order_relaxed);
+        if (!finish(cur, op.kind == MicroOp::Kind::kCommit || must_commit,
+                    &pending)) {
+          break;
         }
         cur = kInvalidTxnId;
         pending.clear();
@@ -795,7 +857,7 @@ void Runner::RunMultiThreaded() {
           }
         }
       } else {
-        ApplyFault(*event.fault, nullptr, nullptr);
+        ApplyFault(*event.fault, nullptr);
       }
     } else {
       DoCrashAndRecover(event.crash->recovery_faults);

@@ -27,6 +27,9 @@ struct FuzzOptions {
   // corpus sweep replays every schedule through both paths; any divergence
   // the oracle can see is an engine equivalence bug.
   uint32_t io_width = 0;
+  // Recovery worker-pool width for the run's Database (1 = no pool). Above
+  // 1, restart, media rebuild and runtime abort all shard their work.
+  uint32_t recovery_threads = 1;
 };
 
 // What one schedule execution produced. `passed` is false when any oracle

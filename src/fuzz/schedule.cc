@@ -118,6 +118,10 @@ std::string Schedule::ToString() const {
       }
     }
   }
+  if (hold) {
+    out << " hold=" << hold->open << ':' << hold->close << ':'
+        << (hold->commit ? 'c' : 'a');
+  }
   return out.str();
 }
 
@@ -211,6 +215,16 @@ Result<Schedule> Schedule::Parse(const std::string& text) {
         }
         schedule.faults.push_back(fault);
       }
+    } else if (key == "hold") {
+      const std::vector<std::string> parts = SplitOn(value, ':');
+      HoldSpan hold;
+      if (parts.size() != 3 || !ParseU32(parts[0], &hold.open) ||
+          !ParseU32(parts[1], &hold.close) ||
+          (parts[2] != "c" && parts[2] != "a")) {
+        return Status::InvalidArgument("bad hold: " + value);
+      }
+      hold.commit = parts[2] == "c";
+      schedule.hold = hold;
     } else {
       return Status::InvalidArgument("unknown field: " + key);
     }

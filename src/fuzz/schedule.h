@@ -2,6 +2,7 @@
 #define RDA_FUZZ_SCHEDULE_H_
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -49,17 +50,33 @@ struct CrashPoint {
   bool operator==(const CrashPoint&) const = default;
 };
 
+// A transaction held open across a stretch of a single-threaded run (multi-
+// threaded runs ignore it). It begins before micro-op `open`, writes and
+// steals two pages of the last parity group — which the workload then
+// leaves alone — and ends before micro-op `close`, committing or aborting,
+// unless a crash ends it first. The second steal finds the group dirty, so
+// it logs a before-image whether or not RDA covers the first. A `close`
+// past the last step keeps it open into the final crash: a loser whose
+// logged undo predates every restart point taken after its steals.
+struct HoldSpan {
+  uint32_t open = 0;
+  uint32_t close = 0;
+  bool commit = false;
+
+  bool operator==(const HoldSpan&) const = default;
+};
+
 // A deterministic, replayable fuzz schedule: everything the runner needs to
 // reproduce one workload + crash/fault interleaving bit-for-bit. The text
 // form (ToString/Parse) is what failing runs print, what the seed corpus
 // stores, and what promoted regression tests embed:
 //
 //   rda-sched v1 seed=42 algo=noforce,rda,page threads=4 steps=40
-//       crash=3:0,17:2 fault=latent@5:2,failon@9:0
+//       crash=3:0,17:2 fault=latent@5:2,failon@9:0 hold=4:90:a
 //
 // algo = {force|noforce},{rda|norda},{page|record}; crash entries are
 // step:recovery_faults; fault entries are kind@step:a[:b] with kind in
-// {latent,tread,twrite,flip,torn,fail,failon}.
+// {latent,tread,twrite,flip,torn,fail,failon}; hold is open:close:{c|a}.
 struct Schedule {
   uint64_t seed = 1;
   bool force = true;
@@ -69,6 +86,7 @@ struct Schedule {
   uint32_t num_steps = 20;  // Transactions drawn from the workload.
   std::vector<CrashPoint> crash_points;
   std::vector<FaultEvent> faults;
+  std::optional<HoldSpan> hold;
 
   bool operator==(const Schedule&) const = default;
 
@@ -76,7 +94,7 @@ struct Schedule {
   // workload length plus every scheduled event.
   uint32_t StepCount() const {
     return num_steps + static_cast<uint32_t>(crash_points.size()) +
-           static_cast<uint32_t>(faults.size());
+           static_cast<uint32_t>(faults.size()) + (hold ? 1 : 0);
   }
 
   std::string ToString() const;

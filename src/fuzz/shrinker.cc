@@ -100,6 +100,21 @@ Result<ShrinkResult> Shrink(const Schedule& failing,
       }
     }
 
+    // Drop the held transaction.
+    if (best.hold && result.runs < max_runs) {
+      Schedule candidate = best;
+      candidate.hold.reset();
+      Result<bool> fails =
+          StillFails(candidate, options, &result.violation, &result.runs);
+      if (!fails.ok()) {
+        return fails.status();
+      }
+      if (*fails) {
+        best = candidate;
+        improved = true;
+      }
+    }
+
     // Shrink the workload: halve while that still fails, then try single
     // decrements. (Events past the new end clamp to the final step, so the
     // schedule stays well-formed.)

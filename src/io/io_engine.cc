@@ -17,7 +17,6 @@ IoEngine::IoEngine(uint32_t num_disks, const IoEngineOptions& options,
   for (uint32_t d = 0; d < num_disks; ++d) {
     drain_mus_.push_back(std::make_unique<std::mutex>());
   }
-  job_lanes_.resize(options_.width);
   workers_.reserve(options_.width);
   for (uint32_t w = 0; w < options_.width; ++w) {
     workers_.emplace_back([this, w] { WorkerLoop(w); });
@@ -34,17 +33,9 @@ IoEngine::~IoEngine() {
     worker.join();
   }
   // Workers are gone: drain the remaining journal inline so every submitted
-  // write reaches the medium (the journal is modeled non-volatile), then
-  // honour any job a caller abandoned without waiting.
+  // write reaches the medium (the journal is modeled non-volatile).
   for (DiskId d = 0; d < queues_.size(); ++d) {
     DrainDisk(d);
-  }
-  for (auto& lane : job_lanes_) {
-    for (Job& job : lane) {
-      job.promise->set_value(job.work());
-      jobs_run_.fetch_add(1, std::memory_order_relaxed);
-    }
-    lane.clear();
   }
 }
 
@@ -148,26 +139,12 @@ bool IoEngine::ReadFromQueue(DiskId disk, SlotId slot, PageImage* out) const {
   return true;
 }
 
-std::shared_future<Status> IoEngine::SubmitJob(uint32_t lane,
-                                               std::function<Status()> job) {
-  Job entry;
-  entry.work = std::move(job);
-  entry.promise = std::make_shared<std::promise<Status>>();
-  std::shared_future<Status> future = entry.promise->get_future().share();
-  {
-    std::lock_guard<std::mutex> lock(wake_mu_);
-    job_lanes_[lane % options_.width].push_back(std::move(entry));
-  }
-  cv_.notify_all();
-  return future;
-}
-
 void IoEngine::WorkerLoop(uint32_t worker) {
   for (;;) {
     {
       std::unique_lock<std::mutex> lock(wake_mu_);
       cv_.wait(lock, [this, worker] {
-        if (stop_ || !job_lanes_[worker].empty()) {
+        if (stop_) {
           return true;
         }
         for (DiskId d = worker; d < queues_.size(); d += options_.width) {
@@ -182,7 +159,6 @@ void IoEngine::WorkerLoop(uint32_t worker) {
         return;
       }
     }
-    RunJobs(worker);
     for (DiskId d = worker; d < queues_.size(); d += options_.width) {
       bool due;
       {
@@ -193,23 +169,6 @@ void IoEngine::WorkerLoop(uint32_t worker) {
         DrainDisk(d);
       }
     }
-  }
-}
-
-void IoEngine::RunJobs(uint32_t worker) {
-  for (;;) {
-    Job job;
-    {
-      std::lock_guard<std::mutex> lock(wake_mu_);
-      auto& lane = job_lanes_[worker];
-      if (lane.empty()) {
-        return;
-      }
-      job = std::move(lane.front());
-      lane.pop_front();
-    }
-    job.promise->set_value(job.work());
-    jobs_run_.fetch_add(1, std::memory_order_relaxed);
   }
 }
 
@@ -312,7 +271,6 @@ IoEngine::StatsSnapshot IoEngine::stats() const {
   snapshot.batched_parity_rmw = parity_rmw_.load(std::memory_order_relaxed);
   snapshot.cache_hits = cache_hits_.load(std::memory_order_relaxed);
   snapshot.purged_writes = purged_.load(std::memory_order_relaxed);
-  snapshot.jobs_run = jobs_run_.load(std::memory_order_relaxed);
   return snapshot;
 }
 

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <future>
 #include <map>
@@ -55,10 +54,6 @@ struct IoEngineOptions {
 //  * Disk failure: Fail() destroys the whole medium, so queued writes for
 //    that disk are moot; PurgeDisk drops them. This is indistinguishable
 //    from the synchronous history "write completed, then the disk died".
-//
-// Generic job lanes: small CPU-bound unit-of-I/O closures (the WAL's
-// per-copy stable appends) ride the same worker threads via SubmitJob, so
-// log duplexing overlaps across lanes without a second thread pool.
 class IoEngine {
  public:
   // Performs one physical slot write (retries, fault injection and transfer
@@ -94,11 +89,6 @@ class IoEngine {
   // no storage counters — only the engine's cache_hits statistic.
   bool ReadFromQueue(DiskId disk, SlotId slot, PageImage* out) const;
 
-  // Runs `job` on worker lane % width. The caller owns result collection
-  // via the returned future; jobs never touch the write queues.
-  std::shared_future<Status> SubmitJob(uint32_t lane,
-                                       std::function<Status()> job);
-
   // Drains every queue from the calling thread (workers may drain
   // concurrently; per-disk drains are serialized). Returns the first
   // sticky drain error across disks (lowest disk id), Ok otherwise.
@@ -119,7 +109,6 @@ class IoEngine {
     uint64_t batched_parity_rmw = 0;  // Coalesced writes on parity slots.
     uint64_t cache_hits = 0;        // Reads served from the journal.
     uint64_t purged_writes = 0;     // Entries dropped by PurgeDisk.
-    uint64_t jobs_run = 0;          // SubmitJob closures executed.
   };
   StatsSnapshot stats() const;
 
@@ -157,11 +146,6 @@ class IoEngine {
     Status error = Status::Ok();
   };
 
-  struct Job {
-    std::function<Status()> work;
-    std::shared_ptr<std::promise<Status>> promise;
-  };
-
   // Common journal path behind SubmitWrite / SubmitWriteDetached. Returns
   // an empty future when `want_future` is false.
   std::shared_future<Status> Submit(DiskId disk, SlotId slot, PageImage image,
@@ -169,7 +153,6 @@ class IoEngine {
   void WorkerLoop(uint32_t worker);
   // Drains `disk` until its pending map is empty. Serialized per disk.
   void DrainDisk(DiskId disk);
-  void RunJobs(uint32_t worker);
 
   const IoEngineOptions options_;
   const PhysicalWrite writer_;
@@ -178,11 +161,10 @@ class IoEngine {
   std::vector<std::unique_ptr<std::mutex>> drain_mus_;
 
   // Wake-up plumbing: workers sleep on cv_ until a queue they own crosses
-  // the watermark, a job arrives, or shutdown.
+  // the watermark, or shutdown.
   mutable std::mutex wake_mu_;
   std::condition_variable cv_;
   bool stop_ = false;
-  std::vector<std::deque<Job>> job_lanes_;  // One lane list per worker.
   std::vector<std::thread> workers_;
 
   // Statistics (relaxed atomics: monotonic counters, read quiesced).
@@ -192,7 +174,6 @@ class IoEngine {
   mutable std::atomic<uint64_t> parity_rmw_{0};
   mutable std::atomic<uint64_t> cache_hits_{0};
   mutable std::atomic<uint64_t> purged_{0};
-  mutable std::atomic<uint64_t> jobs_run_{0};
   std::atomic<int64_t> depth_{0};
 
   // Observability (null = disabled).

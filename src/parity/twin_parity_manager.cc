@@ -1225,108 +1225,150 @@ Status TwinParityManager::RecomputeCommittedTwin(GroupId group, uint32_t twin,
   return Status::Ok();
 }
 
-Status TwinParityManager::RebuildDirectory() {
-  ParityTimestamp max_seen = 0;
-  for (GroupId g = 0; g < array_->num_groups(); ++g) {
-    PageImage twins[2];
-    const uint32_t copies = array_->layout().parity_copies();
-    // The directory is not valid yet, so the healed-read machinery (which
-    // consults it) cannot run; sector faults are handled inline instead.
-    bool faulted[2] = {false, false};
-    Status fault_cause[2];
-    for (uint32_t t = 0; t < copies; ++t) {
-      Status read = array_->ReadParity(g, t, &twins[t]);
-      if (!read.ok()) {
-        const DiskId disk = array_->layout().ParityLocation(g, t).disk;
-        // A twin on a FAILED disk (recovering from a crash mid-rebuild with
-        // the half-written medium re-failed) is handled like a faulted
-        // sector — select from the survivor — except no error is charged:
-        // the disk is already out.
-        if (copies == 2 &&
-            (HealableFault(read, disk) || array_->DiskFailed(disk))) {
-          faulted[t] = true;
-          fault_cause[t] = read;
-          if (!array_->DiskFailed(disk)) {
-            array_->RecordSectorError(disk);
-          }
-          continue;
+Status TwinParityManager::ReadGroupTwins(GroupId g, GroupTwins* out) {
+  const uint32_t copies = array_->layout().parity_copies();
+  // The directory is not valid yet, so the healed-read machinery (which
+  // consults it) cannot run; sector faults are handled inline instead.
+  for (uint32_t t = 0; t < copies; ++t) {
+    Status read = array_->ReadParity(g, t, &out->twins[t]);
+    if (!read.ok()) {
+      const DiskId disk = array_->layout().ParityLocation(g, t).disk;
+      // A twin on a FAILED disk (recovering from a crash mid-rebuild with
+      // the half-written medium re-failed) is handled like a faulted
+      // sector — select from the survivor — except no error is charged:
+      // the disk is already out.
+      if (copies == 2 &&
+          (HealableFault(read, disk) || array_->DiskFailed(disk))) {
+        out->faulted[t] = true;
+        out->cause[t] = read;
+        if (!array_->DiskFailed(disk)) {
+          array_->RecordSectorError(disk);
         }
-        return read;
-      }
-      max_seen = std::max(max_seen, twins[t].header.timestamp);
-      SyncTwinShadow(g, t,
-                     static_cast<uint8_t>(twins[t].header.parity_state));
-    }
-    if (copies == 1) {
-      directory_.MarkClean(g, 0);
-      continue;
-    }
-    if (faulted[0] && faulted[1]) {
-      return Status::Corruption("both parity twins of group " +
-                                std::to_string(g) + " unreadable");
-    }
-    if (faulted[0] || faulted[1]) {
-      const uint32_t bad = faulted[0] ? 0 : 1;
-      const uint32_t good = 1 - bad;
-      if (twins[good].header.parity_state != ParityState::kCommitted) {
-        // The survivor is not committed parity, so the unreadable twin held
-        // the group's only committed copy. A single-disk failure leaves all
-        // of the group's data pages readable (members sit on distinct
-        // disks), so committed parity is still derivable: recompute it from
-        // data into the surviving slot. Only when a data page is ALSO
-        // unreadable (a second fault) is the group genuinely lost.
-        const ParityTimestamp floor =
-            std::max(max_seen, twins[good].header.timestamp);
-        const Status recomputed =
-            RecomputeCommittedTwin(g, good, floor, &twins[good]);
-        if (!recomputed.ok()) {
-          return Status::DataLoss("committed parity twin of group " +
-                                  std::to_string(g) + " unreadable (" +
-                                  recomputed.ToString() + ")");
-        }
-        max_seen = std::max(max_seen, twins[good].header.timestamp);
-        SyncTwinShadow(g, good,
-                       static_cast<uint8_t>(ParityState::kCommitted));
-      }
-      // The survivor is committed: treat the unreadable twin as obsolete
-      // and reset it. If it was in fact a working twin, the in-flight
-      // unlogged update it covered can no longer be undone in parity space
-      // — log-based undo and the post-recovery scrub restore consistency.
-      PageImage obsolete(array_->page_size());
-      obsolete.header.parity_state = ParityState::kObsolete;
-      if (array_->WriteParity(g, bad, obsolete).ok()) {
-        NoteSectorRepair(fault_cause[bad], kInvalidPageId, g);
-      }
-      twins[bad] = std::move(obsolete);
-      SyncTwinShadow(g, bad, static_cast<uint8_t>(ParityState::kObsolete));
-    }
-    // Current_Parity (paper Figure 7): the committed twin with the highest
-    // timestamp is valid. A WORKING twin marks the group dirty; its header
-    // tells which page and transaction it covers.
-    uint32_t valid = 0;
-    bool have_valid = false;
-    for (uint32_t t = 0; t < 2; ++t) {
-      const ParityState st = twins[t].header.parity_state;
-      if (st != ParityState::kCommitted && st != ParityState::kObsolete) {
         continue;
       }
-      if (!have_valid ||
-          twins[t].header.timestamp > twins[valid].header.timestamp) {
-        valid = t;
-        have_valid = true;
+      return read;
+    }
+    out->max_seen = std::max(out->max_seen, out->twins[t].header.timestamp);
+    SyncTwinShadow(g, t,
+                   static_cast<uint8_t>(out->twins[t].header.parity_state));
+  }
+  if (out->faulted[0] && out->faulted[1]) {
+    return Status::Corruption("both parity twins of group " +
+                              std::to_string(g) + " unreadable");
+  }
+  return Status::Ok();
+}
+
+bool TwinParityManager::NeedsRecompute(const GroupTwins& read) {
+  if (read.faulted[0] == read.faulted[1]) {
+    return false;
+  }
+  const uint32_t good = read.faulted[0] ? 1 : 0;
+  return read.twins[good].header.parity_state != ParityState::kCommitted;
+}
+
+Status TwinParityManager::ResolveGroupTwins(GroupId g, ParityTimestamp floor,
+                                            GroupTwins* read) {
+  if (array_->layout().parity_copies() == 1) {
+    directory_.MarkClean(g, 0);
+    return Status::Ok();
+  }
+  PageImage* twins = read->twins;
+  if (read->faulted[0] || read->faulted[1]) {
+    const uint32_t bad = read->faulted[0] ? 0 : 1;
+    const uint32_t good = 1 - bad;
+    if (NeedsRecompute(*read)) {
+      // The survivor is not committed parity, so the unreadable twin held
+      // the group's only committed copy. A single-disk failure leaves all
+      // of the group's data pages readable (members sit on distinct
+      // disks), so committed parity is still derivable: recompute it from
+      // data into the surviving slot. Only when a data page is ALSO
+      // unreadable (a second fault) is the group genuinely lost.
+      const Status recomputed = RecomputeCommittedTwin(
+          g, good, std::max(floor, read->max_seen), &twins[good]);
+      if (!recomputed.ok()) {
+        return Status::DataLoss("committed parity twin of group " +
+                                std::to_string(g) + " unreadable (" +
+                                recomputed.ToString() + ")");
       }
+      read->max_seen = std::max(read->max_seen, twins[good].header.timestamp);
+      SyncTwinShadow(g, good, static_cast<uint8_t>(ParityState::kCommitted));
     }
-    if (!have_valid) {
-      return Status::Corruption("group " + std::to_string(g) +
-                                " has no committed parity twin");
+    // The survivor is committed: treat the unreadable twin as obsolete
+    // and reset it. If it was in fact a working twin, the in-flight
+    // unlogged update it covered can no longer be undone in parity space
+    // — log-based undo and the post-recovery scrub restore consistency.
+    PageImage obsolete(array_->page_size());
+    obsolete.header.parity_state = ParityState::kObsolete;
+    if (array_->WriteParity(g, bad, obsolete).ok()) {
+      NoteSectorRepair(read->cause[bad], kInvalidPageId, g);
     }
-    directory_.MarkClean(g, valid);
-    for (uint32_t t = 0; t < 2; ++t) {
-      if (twins[t].header.parity_state == ParityState::kWorking) {
-        directory_.MarkDirty(g, twins[t].header.dirty_page,
-                             twins[t].header.txn_id, t);
-      }
+    twins[bad] = std::move(obsolete);
+    SyncTwinShadow(g, bad, static_cast<uint8_t>(ParityState::kObsolete));
+  }
+  // Current_Parity (paper Figure 7): the committed twin with the highest
+  // timestamp is valid. A WORKING twin marks the group dirty; its header
+  // tells which page and transaction it covers.
+  uint32_t valid = 0;
+  bool have_valid = false;
+  for (uint32_t t = 0; t < 2; ++t) {
+    const ParityState st = twins[t].header.parity_state;
+    if (st != ParityState::kCommitted && st != ParityState::kObsolete) {
+      continue;
     }
+    if (!have_valid ||
+        twins[t].header.timestamp > twins[valid].header.timestamp) {
+      valid = t;
+      have_valid = true;
+    }
+  }
+  if (!have_valid) {
+    return Status::Corruption("group " + std::to_string(g) +
+                              " has no committed parity twin");
+  }
+  directory_.MarkClean(g, valid);
+  for (uint32_t t = 0; t < 2; ++t) {
+    if (twins[t].header.parity_state == ParityState::kWorking) {
+      directory_.MarkDirty(g, twins[t].header.dirty_page,
+                           twins[t].header.txn_id, t);
+    }
+  }
+  return Status::Ok();
+}
+
+Status TwinParityManager::RebuildDirectory(exec::WorkerPool* pool) {
+  // A recomputed committed twin takes a timestamp above every twin of the
+  // groups before it. The serial loop knows that running maximum as it
+  // goes; a band does not, so it leaves those (rare) groups to an
+  // ascending pass after the bands, which reproduces the serial result.
+  const GroupId groups = array_->num_groups();
+  const bool banded = pool != nullptr && pool->width() > 1;
+  std::vector<ParityTimestamp> group_max(groups, 0);
+  std::vector<std::unique_ptr<GroupTwins>> deferred(groups);
+  ParityTimestamp serial_max = 0;  // Running maximum of the serial loop.
+  RDA_RETURN_IF_ERROR(exec::RunSharded(
+      pool, groups, [&](uint64_t index) -> Status {
+        const GroupId g = static_cast<GroupId>(index);
+        GroupTwins read;
+        RDA_RETURN_IF_ERROR(ReadGroupTwins(g, &read));
+        if (banded && NeedsRecompute(read)) {
+          deferred[g] = std::make_unique<GroupTwins>(std::move(read));
+          return Status::Ok();
+        }
+        RDA_RETURN_IF_ERROR(ResolveGroupTwins(g, serial_max, &read));
+        group_max[g] = read.max_seen;
+        if (!banded) {
+          serial_max = std::max(serial_max, read.max_seen);
+        }
+        return Status::Ok();
+      }));
+  ParityTimestamp max_seen = 0;
+  for (GroupId g = 0; g < groups; ++g) {
+    if (deferred[g] != nullptr) {
+      RDA_RETURN_IF_ERROR(ResolveGroupTwins(g, max_seen, deferred[g].get()));
+      group_max[g] = deferred[g]->max_seen;
+    }
+    max_seen = std::max(max_seen, group_max[g]);
   }
   // Seed the timestamp counter from the highest twin-header timestamp seen,
   // never going backwards: handing out an already-used timestamp after a

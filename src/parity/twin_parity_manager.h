@@ -321,14 +321,20 @@ class TwinParityManager {
   // headers of every group (the S/N-term of the paper's c'_s): valid twin =
   // committed twin with the highest timestamp; a working twin marks the
   // group dirty by (header.dirty_page, header.txn_id). Also restores the
-  // timestamp counter.
-  Status RebuildDirectory();
+  // timestamp counter. Groups are independent, so with a pool they fan out
+  // in contiguous bands; null keeps the serial loop. Either way the
+  // directory, the twins and the counter come out the same.
+  Status RebuildDirectory(exec::WorkerPool* pool = nullptr);
 
   // Drops all volatile state (simulates the crash itself). The directory
   // becomes unusable until RebuildDirectory().
   void LoseVolatileState();
 
   const DirtySet& directory() const { return directory_; }
+  // The last parity timestamp handed out (RebuildDirectory seeds it).
+  ParityTimestamp last_timestamp() const {
+    return timestamp_.load(std::memory_order_relaxed);
+  }
   DiskArray* array() { return array_; }
   // Snapshot by value: counters are bumped under per-group latches, so a
   // reference would race with concurrent propagations.
@@ -380,6 +386,25 @@ class TwinParityManager {
   // Current_Parity selection picks it over the stale survivor.
   Status RecomputeCommittedTwin(GroupId group, uint32_t twin,
                                 ParityTimestamp floor, PageImage* out);
+
+  // One group's parity twins as RebuildDirectory read them.
+  struct GroupTwins {
+    PageImage twins[2];
+    bool faulted[2] = {false, false};  // Unreadable, selected around.
+    Status cause[2];
+    ParityTimestamp max_seen = 0;  // Highest timestamp among the twins.
+  };
+  // Reads the twins of `group`, taking a sector fault (or a failed disk)
+  // on one of two twins in stride.
+  Status ReadGroupTwins(GroupId group, GroupTwins* out);
+  // True iff a faulted twin held the group's only committed parity.
+  static bool NeedsRecompute(const GroupTwins& read);
+  // Resets a faulted twin — recomputing committed parity first when
+  // NeedsRecompute, with a timestamp above `floor` (the highest timestamp
+  // of the groups before this one) and the group's own — then sets the
+  // group's directory entry (Current_Parity, paper Figure 7).
+  Status ResolveGroupTwins(GroupId group, ParityTimestamp floor,
+                           GroupTwins* read);
 
   // True when `status` is the class of error repair-on-read can heal: a
   // persistent sector fault on a disk that is still alive.

@@ -138,7 +138,7 @@ Result<CrashRecoveryReport> CrashRecovery::Recover(Lsn latest_start) {
   {
     obs::ScopedPhase phase(hub_, obs::RecoveryPhase::kDirectoryRebuild,
                            transfers_now, &report.phases);
-    RDA_RETURN_IF_ERROR(parity_->RebuildDirectory());
+    RDA_RETURN_IF_ERROR(parity_->RebuildDirectory(pool_));
   }
 
   // Phase 2: analysis — read the log from the newest restart LSN R to the
@@ -288,29 +288,42 @@ Result<CrashRecoveryReport> CrashRecovery::Recover(Lsn latest_start) {
   // (DESIGN.md 4.3). A before-image logged BEFORE the window opened must
   // wait until 4d: applying it first would change the data page out from
   // under the XOR cancellation and the parity undo would "restore" garbage
-  // (base xor new xor before).
-  const auto apply_before_image = [&](const LogRecord& record) -> Status {
-    if (!record.record_granular) {
-      return parity_->ApplyLoggedUndo(record.page, record.before);
+  // (base xor new xor before). Every page belongs to one parity group, so
+  // 4b and 4d each shard by group, keeping reverse LSN order within it.
+  using UndoBucket = std::vector<const LogRecord*>;
+  exec::KeyedShards<UndoBucket> in_window(pool_);
+  exec::KeyedShards<UndoBucket> pre_window(pool_);
+  // Applies one phase's buckets; returns the before-images applied.
+  const auto apply_before_images =
+      [&](exec::KeyedShards<UndoBucket>* buckets, const char* phase_name,
+          uint64_t* applied) -> Status {
+    const std::vector<UndoBucket*> shards = buckets->Shards();
+    std::vector<uint64_t> counts(shards.size(), 0);
+    const Status status = exec::RunSharded(
+        pool_, shards.size(), [&](uint64_t shard) -> Status {
+          for (const LogRecord* record : *shards[shard]) {
+            RDA_RETURN_IF_ERROR(ConsumeFaultBudget());
+            if (RecoveryTraceEnabled()) {
+              std::fprintf(stderr, "undo %s page=%llu slot=%u lsn=%llu "
+                           "txn=%llu\n", phase_name,
+                           (unsigned long long)record->page,
+                           (unsigned)record->slot,
+                           (unsigned long long)record->lsn,
+                           (unsigned long long)record->txn);
+            }
+            RDA_RETURN_IF_ERROR(ApplyBeforeImage(
+                parity_, txn_manager_->config().record_size, record->page,
+                record->record_granular, record->slot, record->before,
+                /*restored=*/nullptr));
+            ++counts[shard];
+          }
+          return Status::Ok();
+        });
+    for (const uint64_t count : counts) {
+      *applied += count;
     }
-    PageImage current;
-    RDA_RETURN_IF_ERROR(parity_->ReadDataHealed(record.page, &current));
-    std::vector<uint8_t> payload = std::move(current.payload);
-    RecordPageView view(&payload, txn_manager_->config().record_size);
-    RDA_RETURN_IF_ERROR(view.Write(record.slot, record.before));
-    DataPageMeta meta = LoadDataMeta(payload);
-    const GroupState& undo_group = parity_->directory().Get(
-        parity_->array()->layout().GroupOf(record.page));
-    if (!(undo_group.dirty && undo_group.dirty_page == record.page)) {
-      // Keep the covering transaction's stamp so the parity undo of
-      // phase 4c still recognizes its work.
-      meta.txn_id = kInvalidTxnId;
-    }
-    meta.page_lsn = 0;  // Mixed state: let REDO replay decide per record.
-    StoreDataMeta(meta, &payload);
-    return parity_->ApplyLoggedUndo(record.page, payload);
+    return status;
   };
-  std::vector<const LogRecord*> pre_window;
   {
     obs::ScopedPhase phase(hub_, obs::RecoveryPhase::kLoggedUndo,
                            transfers_now, &report.phases);
@@ -320,30 +333,22 @@ Result<CrashRecoveryReport> CrashRecovery::Recover(Lsn latest_start) {
           !losers.contains(record.txn)) {
         continue;
       }
-      const GroupState& state = parity_->directory().Get(
-          parity_->array()->layout().GroupOf(record.page));
+      const GroupId group = parity_->array()->layout().GroupOf(record.page);
+      const GroupState& state = parity_->directory().Get(group);
+      bool before_window = false;
       if (state.dirty && state.dirty_txn == record.txn &&
           state.dirty_page == record.page) {
         auto txn_windows = window_start.find(record.txn);
         if (txn_windows != window_start.end()) {
           auto window = txn_windows->second.find(record.page);
-          if (window != txn_windows->second.end() &&
-              record.lsn < window->second) {
-            pre_window.push_back(&record);  // Kept in reverse LSN order.
-            continue;
-          }
+          before_window = window != txn_windows->second.end() &&
+                          record.lsn < window->second;
         }
       }
-      RDA_RETURN_IF_ERROR(ConsumeFaultBudget());
-      if (RecoveryTraceEnabled()) {
-        std::fprintf(stderr, "undo 4b page=%llu slot=%u lsn=%llu txn=%llu\n",
-                     (unsigned long long)record.page, (unsigned)record.slot,
-                     (unsigned long long)record.lsn,
-                     (unsigned long long)record.txn);
-      }
-      RDA_RETURN_IF_ERROR(apply_before_image(record));
-      ++report.logged_undos;
+      (before_window ? pre_window : in_window).At(group).push_back(&record);
     }
+    RDA_RETURN_IF_ERROR(
+        apply_before_images(&in_window, "4b", &report.logged_undos));
   }
 
   // Phase 4c: parity-undo every dirty group owned by a loser. Each undo
@@ -376,11 +381,8 @@ Result<CrashRecoveryReport> CrashRecovery::Recover(Lsn latest_start) {
     // Phase 4d: pre-window before-images, still in reverse LSN order. The
     // parity undo above rewound their pages to each window's base image, so
     // these now apply to the state they were captured against.
-    for (const LogRecord* record : pre_window) {
-      RDA_RETURN_IF_ERROR(ConsumeFaultBudget());
-      RDA_RETURN_IF_ERROR(apply_before_image(*record));
-      ++report.logged_undos;
-    }
+    RDA_RETURN_IF_ERROR(
+        apply_before_images(&pre_window, "4d", &report.logged_undos));
   }
 
   // Phase 5: REDO committed after-images. Analysis pre-bucketed them so

@@ -15,7 +15,8 @@ namespace rda {
 TransactionManager::TransactionManager(const TxnConfig& config,
                                        TwinParityManager* parity,
                                        LogManager* log, LockManager* locks,
-                                       const BufferPool::Options& pool_options)
+                                       const BufferPool::Options& pool_options,
+                                       exec::WorkerPool* undo_pool)
     : config_(config),
       parity_(parity),
       log_(log),
@@ -40,7 +41,8 @@ TransactionManager::TransactionManager(const TxnConfig& config,
             }
             return status;
           },
-          [this](Frame* frame) { return PropagateFrame(frame); }) {}
+          [this](Frame* frame) { return PropagateFrame(frame); }),
+      undo_pool_(undo_pool) {}
 
 size_t TransactionManager::user_page_size() const {
   return parity_->array()->page_size() - kDataRegionOffset;
@@ -790,9 +792,46 @@ Status TransactionManager::CommitInEot(Transaction* txn) {
   return Status::Ok();
 }
 
-Status TransactionManager::UndoDiskState(
-    Transaction* txn,
-    std::unordered_map<PageId, std::vector<uint8_t>>* restored_disk) {
+Status ApplyBeforeImage(TwinParityManager* parity, size_t record_size,
+                        PageId page, bool record_granular, RecordSlot slot,
+                        const std::vector<uint8_t>& before,
+                        RestoredPages* restored) {
+  if (!record_granular) {
+    RDA_RETURN_IF_ERROR(parity->ApplyLoggedUndo(page, before));
+    if (restored != nullptr) {
+      (*restored)[page] = before;
+    }
+    return Status::Ok();
+  }
+  // The group latch spans the read-modify-write and the dirty-group check.
+  auto group_latch = parity->LockGroupOfPage(page);
+  std::vector<uint8_t> payload;
+  if (restored != nullptr && restored->contains(page)) {
+    payload = restored->at(page);
+  } else {
+    PageImage image;
+    RDA_RETURN_IF_ERROR(parity->ReadDataHealed(page, &image));
+    payload = std::move(image.payload);
+  }
+  RecordPageView view(&payload, record_size);
+  RDA_RETURN_IF_ERROR(view.Write(slot, before));
+  DataPageMeta meta = LoadDataMeta(payload);
+  const GroupState& group =
+      parity->directory().Get(parity->array()->layout().GroupOf(page));
+  if (!(group.dirty && group.dirty_page == page)) {
+    meta.txn_id = kInvalidTxnId;  // Keep the covering txn's stamp intact.
+  }
+  meta.page_lsn = 0;  // Mixed state: force full REDO replay after a crash.
+  StoreDataMeta(meta, &payload);
+  RDA_RETURN_IF_ERROR(parity->ApplyLoggedUndo(page, payload));
+  if (restored != nullptr) {
+    (*restored)[page] = std::move(payload);
+  }
+  return Status::Ok();
+}
+
+Status TransactionManager::UndoDiskState(Transaction* txn,
+                                         RestoredPages* restored_disk) {
   // Undo must be reverse-chronological PER PAGE. Logged before-images taken
   // INSIDE a group's unlogged window (after its kUnloggedFirst steal) go
   // first: such an image can contain this transaction's own bytes from the
@@ -803,86 +842,86 @@ Status TransactionManager::UndoDiskState(
   // only AFTER the parity undo: applying it first would change the data
   // page out from under the XOR cancellation and the parity undo would
   // "restore" garbage (base xor new xor before).
+  //
+  // Every page belongs to exactly one parity group, so that order only
+  // binds within a group: each group is one shard, and the shards run in
+  // parallel on the pool. Without one, the single shard is the serial loop
+  // over all groups.
+  struct GroupUndo {
+    std::vector<const LoggedUndo*> in_window;   // Reverse LSN order.
+    std::vector<GroupId> dirtied;               // Parity undo.
+    std::vector<const LoggedUndo*> pre_window;  // Reverse LSN order.
+    RestoredPages restored;
+  };
+  const Layout& layout = parity_->array()->layout();
+  exec::KeyedShards<GroupUndo> by_group(undo_pool_);
   std::unordered_map<PageId, Lsn> window_start;
   for (size_t i = 0; i < txn->dirtied_groups.size(); ++i) {
-    const GroupState& state =
-        parity_->directory().Get(txn->dirtied_groups[i]);
+    const GroupId group = txn->dirtied_groups[i];
+    by_group.At(group).dirtied.push_back(group);
+    const GroupState& state = parity_->directory().Get(group);
     if (state.dirty && state.dirty_txn == txn->id()) {
       window_start[state.dirty_page] = txn->dirtied_group_window_lsn[i];
     }
   }
-  const auto apply_logged_undo = [&](const LoggedUndo& undo) -> Status {
-    if (!undo.record_granular) {
-      RDA_RETURN_IF_ERROR(parity_->ApplyLoggedUndo(undo.page, undo.before));
-      (*restored_disk)[undo.page] = undo.before;
-      return Status::Ok();
-    }
-    // Record-granular: patch the slot inside the current on-disk payload.
-    // The group latch spans the read-modify-write and the dirty-group
-    // directory check.
-    auto group_latch = parity_->LockGroupOfPage(undo.page);
-    std::vector<uint8_t> payload;
-    auto cached = restored_disk->find(undo.page);
-    if (cached != restored_disk->end()) {
-      payload = cached->second;
-    } else {
-      PageImage image;
-      RDA_RETURN_IF_ERROR(parity_->ReadDataHealed(undo.page, &image));
-      payload = std::move(image.payload);
-    }
-    RecordPageView view(&payload, config_.record_size);
-    RDA_RETURN_IF_ERROR(view.Write(undo.slot, undo.before));
-    DataPageMeta meta = LoadDataMeta(payload);
-    const GroupState& undo_group = parity_->directory().Get(
-        parity_->array()->layout().GroupOf(undo.page));
-    if (!(undo_group.dirty && undo_group.dirty_page == undo.page)) {
-      meta.txn_id = kInvalidTxnId;  // Keep the covering txn's stamp intact.
-    }
-    meta.page_lsn = 0;  // Mixed state: force full REDO replay after a crash.
-    StoreDataMeta(meta, &payload);
-    RDA_RETURN_IF_ERROR(parity_->ApplyLoggedUndo(undo.page, payload));
-    (*restored_disk)[undo.page] = std::move(payload);
-    return Status::Ok();
-  };
-
-  std::vector<const LoggedUndo*> pre_window;
   for (auto it = txn->logged_undos.rbegin(); it != txn->logged_undos.rend();
        ++it) {
-    const LoggedUndo& undo = *it;
-    auto window = window_start.find(undo.page);
-    if (window != window_start.end() && undo.lsn < window->second) {
-      pre_window.push_back(&undo);  // Kept in reverse LSN order.
-      continue;
-    }
-    RDA_RETURN_IF_ERROR(apply_logged_undo(undo));
-  }
-
-  // Parity undo: cancels each dirtied group's unlogged delta exactly.
-  for (const GroupId group : txn->dirtied_groups) {
-    auto group_latch = parity_->LockGroup(group);
-    const GroupState& state = parity_->directory().Get(group);
-    if (!state.dirty || state.dirty_txn != txn->id()) {
-      continue;  // Already finalized or undone.
-    }
-    RDA_ASSIGN_OR_RETURN(ParityUndoResult undo,
-                         parity_->UndoUnloggedUpdate(group, txn->id()));
-    if (undo.payload_restored) {
-      (*restored_disk)[undo.page] = std::move(undo.restored_payload);
+    GroupUndo& shard = by_group.At(layout.GroupOf(it->page));
+    auto window = window_start.find(it->page);
+    if (window != window_start.end() && it->lsn < window->second) {
+      shard.pre_window.push_back(&*it);
+    } else {
+      shard.in_window.push_back(&*it);
     }
   }
 
-  // Pre-window before-images LAST, still in reverse LSN order: the parity
-  // undo above has rewound their pages to each window's base image, so
-  // these now apply to the state they were captured against.
-  for (const LoggedUndo* undo : pre_window) {
-    RDA_RETURN_IF_ERROR(apply_logged_undo(*undo));
+  const std::vector<GroupUndo*> shards = by_group.Shards();
+  RDA_RETURN_IF_ERROR(exec::RunSharded(
+      undo_pool_, shards.size(), [&](uint64_t index) -> Status {
+        GroupUndo& shard = *shards[index];
+        const auto apply = [&](const LoggedUndo& undo) {
+          return ApplyBeforeImage(parity_, config_.record_size, undo.page,
+                                  undo.record_granular, undo.slot,
+                                  undo.before, &shard.restored);
+        };
+        for (const LoggedUndo* undo : shard.in_window) {
+          RDA_RETURN_IF_ERROR(apply(*undo));
+        }
+        // Parity undo: cancels each dirtied group's unlogged delta exactly.
+        for (const GroupId group : shard.dirtied) {
+          auto group_latch = parity_->LockGroup(group);
+          const GroupState& state = parity_->directory().Get(group);
+          if (!state.dirty || state.dirty_txn != txn->id()) {
+            continue;  // Already finalized or undone.
+          }
+          RDA_ASSIGN_OR_RETURN(ParityUndoResult undo,
+                               parity_->UndoUnloggedUpdate(group, txn->id()));
+          if (undo.payload_restored) {
+            shard.restored[undo.page] = std::move(undo.restored_payload);
+          }
+        }
+        // Pre-window before-images LAST: the parity undo above has rewound
+        // their pages to each window's base image, so these now apply to
+        // the state they were captured against.
+        for (const LoggedUndo* undo : shard.pre_window) {
+          RDA_RETURN_IF_ERROR(apply(*undo));
+        }
+        return Status::Ok();
+      }));
+  // Shards restore disjoint pages. Without a pool there is one shard, and
+  // its map is taken whole.
+  for (GroupUndo* shard : shards) {
+    if (restored_disk->empty()) {
+      restored_disk->swap(shard->restored);
+    } else {
+      restored_disk->merge(shard->restored);
+    }
   }
   return Status::Ok();
 }
 
 void TransactionManager::CleanBufferAfterAbort(
-    Transaction* txn,
-    const std::unordered_map<PageId, std::vector<uint8_t>>& restored_disk) {
+    Transaction* txn, const RestoredPages& restored_disk) {
   if (config_.logging_mode == LoggingMode::kPageLogging) {
     // Pages are not shared between active transactions under page locking,
     // but the frame may hold committed-but-unpropagated bytes of EARLIER
@@ -992,7 +1031,7 @@ Status TransactionManager::AbortInEot(Transaction* txn) {
                              abort_us_hist_, static_cast<int64_t>(txn_id));
   const uint64_t transfers_start = TransfersStart();
 
-  std::unordered_map<PageId, std::vector<uint8_t>> restored_disk;
+  RestoredPages restored_disk;
   RDA_RETURN_IF_ERROR(UndoDiskState(txn, &restored_disk));
   CleanBufferAfterAbort(txn, restored_disk);
 
@@ -1084,6 +1123,9 @@ Result<ConcurrentResult> TransactionManager::RunConcurrent(
             std::vector<uint8_t> bytes(write_size, op.value);
             s = record_mode ? WriteRecord(id, op.page, op.slot, bytes)
                             : WritePage(id, op.page, bytes);
+            if (s.ok() && workload.after_write) {
+              s = workload.after_write();
+            }
           } else {
             s = record_mode ? ReadRecord(id, op.page, op.slot, &scratch)
                             : ReadPage(id, op.page, &scratch);

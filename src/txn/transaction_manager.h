@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <unordered_map>
@@ -11,6 +12,7 @@
 #include "buffer/buffer_pool.h"
 #include "common/status.h"
 #include "common/types.h"
+#include "exec/worker_pool.h"
 #include "lock/lock_manager.h"
 #include "obs/obs.h"
 #include "parity/twin_parity_manager.h"
@@ -49,6 +51,22 @@ struct TxnConfig {
   bool elevator_force = false;
 };
 
+// Page payloads a disk undo left on the disk, by page.
+using RestoredPages = std::unordered_map<PageId, std::vector<uint8_t>>;
+
+// Applies one logged before-image to the disk: the undo step shared by
+// runtime abort and restart. A page-granular image replaces the payload. A
+// record-granular one patches its slot inside the page's current payload —
+// `restored`'s copy if it holds one, else a healed read — under the group
+// latch, and zeroes the pageLSN (mixed state: REDO replays every record
+// after a crash). It clears the page's txn stamp too, unless the page is
+// its group's dirty page, whose stamp the parity undo must still
+// recognize. `restored`, if not null, receives the payload now on disk.
+Status ApplyBeforeImage(TwinParityManager* parity, size_t record_size,
+                        PageId page, bool record_granular, RecordSlot slot,
+                        const std::vector<uint8_t>& before,
+                        RestoredPages* restored);
+
 // Outcome counters used by the simulator to report the paper's metrics.
 struct TxnStats {
   uint64_t begun = 0;
@@ -72,6 +90,10 @@ struct ConcurrentWorkload {
   // Abort-and-retry attempts per transaction before giving up (livelock
   // guard; hitting it is an error).
   uint32_t max_attempts = 10000;
+  // Runs after every successful write, on the writing thread, between
+  // transaction calls (Database::RunConcurrent hooks its auto-checkpoint
+  // here). An error fails the workload. Empty: nothing runs.
+  std::function<Status()> after_write;
 };
 
 struct ConcurrentResult {
@@ -99,9 +121,12 @@ struct ConcurrentResult {
 // mutexes, so it can skip (kBusy) instead of deadlocking.
 class TransactionManager {
  public:
+  // `undo_pool`, if wider than 1, runs a runtime abort's disk undo one
+  // parity group per shard (see UndoDiskState); null keeps it serial.
   TransactionManager(const TxnConfig& config, TwinParityManager* parity,
                      LogManager* log, LockManager* locks,
-                     const BufferPool::Options& pool_options);
+                     const BufferPool::Options& pool_options,
+                     exec::WorkerPool* undo_pool = nullptr);
 
   TransactionManager(const TransactionManager&) = delete;
   TransactionManager& operator=(const TransactionManager&) = delete;
@@ -200,18 +225,16 @@ class TransactionManager {
   Status LogBeforeImagesForSteal(Frame* frame,
                                  const std::vector<Transaction*>& modifiers);
 
-  // Disk-level undo of everything `txn` propagated: parity undo of dirtied
-  // groups first, then logged before-images in reverse. Fills
-  // `restored_disk` with the page payloads now on disk.
-  Status UndoDiskState(Transaction* txn,
-                       std::unordered_map<PageId, std::vector<uint8_t>>*
-                           restored_disk);
+  // Disk-level undo of everything `txn` propagated, per parity group: the
+  // logged before-images taken inside the group's unlogged window, the
+  // parity undo, then the earlier before-images. Groups run in parallel on
+  // `undo_pool_`. Fills `restored_disk` with the page payloads now on disk.
+  Status UndoDiskState(Transaction* txn, RestoredPages* restored_disk);
 
   // Reverts txn's record modifications inside resident frames and detaches
   // the transaction from them.
-  void CleanBufferAfterAbort(
-      Transaction* txn,
-      const std::unordered_map<PageId, std::vector<uint8_t>>& restored_disk);
+  void CleanBufferAfterAbort(Transaction* txn,
+                             const RestoredPages& restored_disk);
 
   Status LogAfterImages(Transaction* txn);
 
@@ -233,6 +256,7 @@ class TransactionManager {
   LogManager* log_;
   LockManager* locks_;
   BufferPool pool_;
+  exec::WorkerPool* undo_pool_;  // Null: serial abort undo.
   // Guards the map and the id counter only (leaf lock, held briefly);
   // Transaction objects are pointer-stable and carry their own mutex.
   mutable std::mutex txns_mu_;

@@ -137,27 +137,6 @@ TEST(IoEngineTest, PurgeDropsQueuedWritesAndCompletesTheirFutures) {
   EXPECT_EQ(engine.stats().purged_writes, 1u);
 }
 
-TEST(IoEngineTest, JobLanesRunSubmittedClosures) {
-  io::IoEngineOptions options;
-  options.width = 2;
-  options.queue_watermark = 1u << 20;
-  io::IoEngine engine(2, options, [](DiskId, SlotId, const PageImage&) {
-    return Status::Ok();
-  });
-  std::atomic<int> ran{0};
-  auto a = engine.SubmitJob(0, [&ran] {
-    ran.fetch_add(1);
-    return Status::Ok();
-  });
-  auto b = engine.SubmitJob(1, [&ran] {
-    ran.fetch_add(1);
-    return Status::IoError("synthetic");
-  });
-  EXPECT_TRUE(a.get().ok());
-  EXPECT_FALSE(b.get().ok());
-  EXPECT_EQ(ran.load(), 2);
-}
-
 TEST(IoEngineTest, DestructorDrainsTheJournal) {
   uint64_t physical = 0;
   {

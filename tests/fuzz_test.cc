@@ -34,6 +34,7 @@ TEST(ScheduleText, RoundTripsThroughToStringAndParse) {
       {FaultEvent::Kind::kTransientRead, 8, 3, 2});
   schedule.faults.push_back(
       {FaultEvent::Kind::kDiskFailOnlineRebuild, 20, 1, 1500});
+  schedule.hold = HoldSpan{3, 90, false};
 
   const std::string text = schedule.ToString();
   Result<Schedule> parsed = Schedule::Parse(text);
@@ -64,6 +65,8 @@ TEST(ScheduleText, RejectsMalformedInput) {
       "rda-sched v1 steps=3 fault=latent:5",      // missing '@'
       "rda-sched v1 steps=3 fault=gremlin@5:1",
       "rda-sched v1 steps=3 wat=7",
+      "rda-sched v1 steps=3 hold=2:9",            // missing c|a
+      "rda-sched v1 steps=3 hold=2:9:x",
   };
   for (const char* text : kBad) {
     EXPECT_FALSE(Schedule::Parse(text).ok()) << "accepted: " << text;
@@ -72,9 +75,9 @@ TEST(ScheduleText, RejectsMalformedInput) {
 
 TEST(ScheduleText, StepCountCoversWorkloadAndEvents) {
   Result<Schedule> parsed = Schedule::Parse(
-      "rda-sched v1 steps=10 crash=3:0,7:1 fault=latent@5:2");
+      "rda-sched v1 steps=10 crash=3:0,7:1 fault=latent@5:2 hold=1:4:c");
   ASSERT_TRUE(parsed.ok());
-  EXPECT_EQ(parsed->StepCount(), 13u);
+  EXPECT_EQ(parsed->StepCount(), 14u);
 }
 
 // Every algorithm class the paper studies, single-threaded, with a
@@ -122,10 +125,9 @@ TEST(FuzzSmoke, MidRecoveryCrashScheduleConverges) {
   EXPECT_TRUE(outcome->passed) << outcome->violation;
 }
 
-// The committed seed corpus: every .sched file under tests/fuzz_corpus is
-// replayed and must pass. New minimized repros get committed here (or
-// promoted to a named regression test) so they run forever after.
-TEST(FuzzCorpus, EveryCommittedScheduleStillPasses) {
+// Replays every .sched file under tests/fuzz_corpus with `options`; each
+// must pass the oracle.
+void ReplayCorpus(const FuzzOptions& options, const std::string& label) {
   const std::filesystem::path dir = RDA_FUZZ_CORPUS_DIR;
   ASSERT_TRUE(std::filesystem::is_directory(dir)) << dir;
   size_t ran = 0;
@@ -140,14 +142,21 @@ TEST(FuzzCorpus, EveryCommittedScheduleStillPasses) {
     Result<Schedule> schedule = Schedule::Parse(text);
     ASSERT_TRUE(schedule.ok())
         << entry.path() << ": " << schedule.status().ToString();
-    Result<RunOutcome> outcome = RunSchedule(*schedule);
+    Result<RunOutcome> outcome = RunSchedule(*schedule, options);
     ASSERT_TRUE(outcome.ok())
         << entry.path() << ": " << outcome.status().ToString();
-    EXPECT_TRUE(outcome->passed)
-        << entry.path() << " (" << text << "): " << outcome->violation;
+    EXPECT_TRUE(outcome->passed) << entry.path() << " (" << text << label
+                                 << "): " << outcome->violation;
     ++ran;
   }
   EXPECT_GE(ran, 7u) << "seed corpus went missing from " << dir;
+}
+
+// The committed seed corpus: every .sched file under tests/fuzz_corpus is
+// replayed and must pass. New minimized repros get committed here (or
+// promoted to a named regression test) so they run forever after.
+TEST(FuzzCorpus, EveryCommittedScheduleStillPasses) {
+  ReplayCorpus(FuzzOptions{}, "");
 }
 
 // The same corpus with the async I/O engine in the path: every committed
@@ -156,30 +165,17 @@ TEST(FuzzCorpus, EveryCommittedScheduleStillPasses) {
 // point, a stale read served from a purged queue, a parity image the
 // coalescer merged wrong — fails here with the schedule named.
 TEST(FuzzCorpus, EveryCommittedSchedulePassesUnderAsyncIo) {
-  const std::filesystem::path dir = RDA_FUZZ_CORPUS_DIR;
-  ASSERT_TRUE(std::filesystem::is_directory(dir)) << dir;
   FuzzOptions async_io;
   async_io.io_width = 2;
-  size_t ran = 0;
-  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
-    if (entry.path().extension() != ".sched") {
-      continue;
-    }
-    std::ifstream in(entry.path());
-    std::string text;
-    std::getline(in, text);
-    ASSERT_FALSE(text.empty()) << entry.path();
-    Result<Schedule> schedule = Schedule::Parse(text);
-    ASSERT_TRUE(schedule.ok())
-        << entry.path() << ": " << schedule.status().ToString();
-    Result<RunOutcome> outcome = RunSchedule(*schedule, async_io);
-    ASSERT_TRUE(outcome.ok())
-        << entry.path() << ": " << outcome.status().ToString();
-    EXPECT_TRUE(outcome->passed)
-        << entry.path() << " (" << text << ", async): " << outcome->violation;
-    ++ran;
-  }
-  EXPECT_GE(ran, 7u) << "seed corpus went missing from " << dir;
+  ReplayCorpus(async_io, ", async");
+}
+
+// The same corpus with a recovery worker pool: restart, media rebuild and
+// runtime abort all take their group-sharded paths.
+TEST(FuzzCorpus, EveryCommittedSchedulePassesWithRecoveryPool) {
+  FuzzOptions pooled;
+  pooled.recovery_threads = 4;
+  ReplayCorpus(pooled, ", recovery_threads=4");
 }
 
 // The four-class crash-schedule smoke matrix again, async engine enabled:
